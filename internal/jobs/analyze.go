@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -25,7 +26,58 @@ type AnalyzeFunc func(ctx context.Context, data *dataset.Dataset, spec Spec, tr 
 // snapshot. Input-shaped failures wrap ErrBadInput so the HTTP layer can
 // distinguish a bad request from an internal fault.
 func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Tracker) (*core.Result, error) {
-	truth, pred, rest, err := extractLabels(data, spec.TruthCol, spec.PredCol)
+	db, err := labeledTxDB(data, spec.TruthCol, spec.PredCol)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Support < 0 || spec.Support > 1 {
+		return nil, fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, spec.Support)
+	}
+	miner := fpm.Parallel{Progress: tr.Progress}
+	if tr != nil {
+		// Workers finish subproblems concurrently: fold and publish as one
+		// step, counting folds, so sequence numbers follow fold order and a
+		// later snapshot never shows less of the mine.
+		acc := newPartialAccum(db, spec)
+		var mu sync.Mutex
+		folded := 0
+		miner.Emit = func(batch []fpm.FrequentPattern, _, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			folded++
+			tr.Partial(acc.add(batch, folded, total))
+		}
+	}
+	return core.ExploreContext(ctx, db, spec.Support, core.Options{Miner: miner})
+}
+
+// The analysis kind: a Spec is its own workload input. Submission does
+// not validate it (the serving layer checks metric names and formats;
+// RunAnalysis rejects bad columns and supports), and its outcome — the
+// mined lattice — is always cached.
+func (s *Spec) kind() Kind             { return KindAnalysis }
+func (s *Spec) common() Spec           { return *s }
+func (s *Spec) validate(*Engine) error { return nil }
+
+func (s *Spec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	entry, ok := e.reg.Get(s.Dataset)
+	if !ok {
+		// Both sentinels apply: a submit referencing an unknown hash is bad
+		// input (HTTP 400), while the rehydration path matches on
+		// ErrDatasetGone to fall back to the durable summary.
+		return nil, false, fmt.Errorf("%w: %w: %s", ErrBadInput, ErrDatasetGone, s.Dataset)
+	}
+	res, err := e.cfg.Analyze(ctx, entry.Data, *s, tr)
+	if err != nil || res == nil { // a substituted AnalyzeFunc may return neither
+		return nil, false, err
+	}
+	return res, true, nil
+}
+
+// labeledTxDB builds the transaction database DivExplorer mines from
+// data and its label columns; failures wrap ErrBadInput.
+func labeledTxDB(data *dataset.Dataset, truthCol, predCol string) (*fpm.TxDB, error) {
+	truth, pred, rest, err := extractLabels(data, truthCol, predCol)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
@@ -37,17 +89,7 @@ func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Trac
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	if spec.Support < 0 || spec.Support > 1 {
-		return nil, fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, spec.Support)
-	}
-	miner := fpm.Parallel{Progress: tr.Progress}
-	if tr != nil {
-		acc := newPartialAccum(db, spec)
-		miner.Emit = func(batch []fpm.FrequentPattern, done, total int) {
-			tr.Partial(acc.add(batch, done, total))
-		}
-	}
-	return core.ExploreContext(ctx, db, spec.Support, core.Options{Miner: miner})
+	return db, nil
 }
 
 // extractLabels pulls and removes the Boolean label columns. The input

@@ -125,14 +125,12 @@ type Stats struct {
 	Significance SignificanceStats `json:"significance"`
 }
 
-// Engine is the asynchronous analysis-job engine: a bounded worker pool
-// consuming a bounded queue, with an LRU cache of mined results. All
+// Engine is the asynchronous job engine: a bounded worker pool
+// consuming a bounded queue, with an LRU outcome cache per job kind. All
 // methods are safe for concurrent use.
 type Engine struct {
-	cfg     Config
-	reg     *registry.Registry
-	analyze AnalyzeFunc
-	cache   *resultCache
+	cfg Config // with defaults filled in
+	reg *registry.Registry
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -144,27 +142,16 @@ type Engine struct {
 	jobsMu sync.Mutex
 	jobs   map[string]*Job
 
-	workers int
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 
 	store atomic.Pointer[Store]
 
-	// Anytime exploration tier: outcome cache and per-dataset
-	// navigation sessions, both LRU-bounded under one lock.
-	exploreMu sync.Mutex
-	xcache    exploreCache
-	sessions  *keyedLRU
-
-	explores     atomic.Int64
-	exploreMines atomic.Int64
-	expands      atomic.Int64
-
-	// Significance tier: outcome LRU under its own lock, plus counters.
-	sigMu      sync.Mutex
-	sigCache   *keyedLRU
-	sigQueries atomic.Int64
-	sigRuns    atomic.Int64
-	sigPerms   atomic.Int64
+	// tiers holds each job kind's outcome cache and counters; sessions
+	// are the explore kind's per-dataset navigation contexts.
+	tiers    map[Kind]*tier
+	sessions *lru[*session]
+	expands  atomic.Int64
+	sigPerms atomic.Int64
 
 	// onTerminal holds the terminal-state hook (Config.OnTerminal, or a
 	// later SetOnTerminal) behind an atomic so the serving layer can
@@ -182,58 +169,49 @@ type Engine struct {
 	storeErrs  atomic.Int64
 }
 
+// tier is one job kind's outcome cache and counters.
+type tier struct {
+	cache   *lru[any]
+	queries atomic.Int64 // asks, cache hits included
+	runs    atomic.Int64 // asks that missed the cache and computed
+}
+
+// orDefault returns n, or def when n <= 0.
+func orDefault(n, def int) int {
+	if n <= 0 {
+		return def
+	}
+	return n
+}
+
 // New starts an engine with cfg.Workers workers. Call Shutdown to drain.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("jobs: Config.Registry is required")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Analyze == nil {
+		cfg.Analyze = RunAnalysis
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 64
-	}
-	cacheEntries := cfg.ResultCacheEntries
-	if cacheEntries <= 0 {
-		cacheEntries = 128
-	}
-	analyze := cfg.Analyze
-	if analyze == nil {
-		analyze = RunAnalysis
-	}
-	exploreEntries := cfg.ExploreCacheEntries
-	if exploreEntries <= 0 {
-		exploreEntries = 64
-	}
-	sessionEntries := cfg.ExploreSessions
-	if sessionEntries <= 0 {
-		sessionEntries = 16
-	}
-	sigEntries := cfg.SignificanceCacheEntries
-	if sigEntries <= 0 {
-		sigEntries = 64
-	}
+	cfg.Workers = orDefault(cfg.Workers, runtime.GOMAXPROCS(0))
 	queue := cfg.Queue
 	if queue == nil {
-		queue = chanQueue{ch: make(chan *Job, depth)}
+		queue = chanQueue{ch: make(chan *Job, orDefault(cfg.QueueDepth, 64))}
 	}
 	// lint:ignore ctxflow the engine root context outlives any caller request; it is canceled by Engine.Close, not by whoever happened to construct the engine
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
 		cfg:        cfg,
 		reg:        cfg.Registry,
-		analyze:    analyze,
-		cache:      newResultCache(cacheEntries),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      queue,
 		jobs:       make(map[string]*Job),
-		workers:    workers,
-		xcache:     exploreCache{c: newKeyedLRU(exploreEntries)},
-		sessions:   newKeyedLRU(sessionEntries),
-		sigCache:   newKeyedLRU(sigEntries),
+		tiers: map[Kind]*tier{
+			KindAnalysis:     {cache: newLRU[any](orDefault(cfg.ResultCacheEntries, 128))},
+			KindExplore:      {cache: newLRU[any](orDefault(cfg.ExploreCacheEntries, 64))},
+			KindSignificance: {cache: newLRU[any](orDefault(cfg.SignificanceCacheEntries, 64))},
+		},
+		sessions: newLRU[*session](orDefault(cfg.ExploreSessions, 16)),
 	}
 	if cfg.Store != nil {
 		e.store.Store(cfg.Store)
@@ -241,7 +219,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.OnTerminal != nil {
 		e.SetOnTerminal(cfg.OnTerminal)
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
 	}
@@ -264,43 +242,66 @@ func (e *Engine) worker() {
 	}
 }
 
-// Submit enqueues a job for spec. It never blocks: a full queue returns
-// ErrQueueFull (the backpressure contract), a draining engine returns
-// ErrShuttingDown. With a store attached the submission is written ahead
-// — a submit the store cannot record is refused, so every acknowledged
-// job survives a crash.
-func (e *Engine) Submit(spec Spec) (*Job, error) {
+// Submit enqueues an analysis job for spec. It never blocks: a full
+// queue returns ErrQueueFull (the backpressure contract), a draining
+// engine returns ErrShuttingDown. With a store attached the submission
+// is written ahead — a submit the store cannot record is refused, so
+// every acknowledged job survives a crash.
+func (e *Engine) Submit(spec Spec) (*Job, error) { return e.submitNew(&spec) }
+
+// SubmitExplore enqueues an anytime exploration as an asynchronous job:
+// top-K refinements stream through the job's partial-result snapshots,
+// the final one carrying the completion reason, and the outcome is read
+// with Job.Explore.
+func (e *Engine) SubmitExplore(spec ExploreSpec) (*Job, error) { return e.submitNew(&spec) }
+
+// SubmitSignificance enqueues a significance query as an asynchronous
+// job: permutation progress streams through the job's progress
+// counters, the final snapshot's Reason is "complete", and the outcome
+// is read with Job.Significance.
+func (e *Engine) SubmitSignificance(spec SignificanceSpec) (*Job, error) {
+	return e.submitNew(&spec)
+}
+
+// SubmitAdopted enqueues an analysis job under an externally minted ID
+// — the cluster layer mints IDs on the forwarding node so retried,
+// hedged and failed-over submissions land idempotently. Resubmitting an
+// ID the engine already holds returns the existing job unchanged.
+func (e *Engine) SubmitAdopted(id string, spec Spec) (*Job, error) { return e.submit(id, spec, true) }
+
+// SubmitAs is SubmitAdopted for a job of any kind: in is a *Spec,
+// *ExploreSpec or *SignificanceSpec, which the engine takes over. The
+// serving layer submits every kind this way, so admission can charge a
+// tenant under the job's ID before the job exists.
+func (e *Engine) SubmitAs(id string, in workload) (*Job, error) { return e.enqueue(id, in, true) }
+
+// submit enqueues an analysis under id.
+func (e *Engine) submit(id string, spec Spec, adopted bool) (*Job, error) {
+	return e.enqueue(id, &spec, adopted)
+}
+
+// submitNew enqueues w under a freshly minted ID.
+func (e *Engine) submitNew(w workload) (*Job, error) {
 	id, err := newJobID()
 	if err != nil {
 		return nil, err
 	}
-	return e.submit(id, spec, false)
+	return e.enqueue(id, w, false)
 }
 
-// SubmitAdopted enqueues a job under an externally minted ID — the
-// cluster layer mints IDs on the forwarding node so retried, hedged and
-// failed-over submissions land idempotently. Resubmitting an ID the
-// engine already holds returns the existing job unchanged.
-func (e *Engine) SubmitAdopted(id string, spec Spec) (*Job, error) {
+// enqueue is the one enqueue path for every job kind, fresh or adopted.
+// The input is validated first; the job is then made visible in the job
+// table before the write-ahead append so concurrent duplicate
+// submissions under the same ID resolve to one winner under jobsMu, and
+// adopted re-submissions return the existing job unchanged.
+func (e *Engine) enqueue(id string, w workload, adopted bool) (*Job, error) {
 	if id == "" {
 		return nil, fmt.Errorf("jobs: empty job id")
 	}
-	return e.submit(id, spec, true)
-}
-
-// submit builds a plain analysis job and hands it to the shared
-// enqueue path.
-func (e *Engine) submit(id string, spec Spec, adopted bool) (*Job, error) {
-	job := &Job{id: id, spec: spec, state: StateQueued, created: time.Now()}
-	return e.enqueue(job, adopted)
-}
-
-// enqueue is the shared enqueue path for every submission kind
-// (analysis, explore, significance, adopted). The job is made visible
-// in the job table before the write-ahead append so concurrent
-// duplicate submissions under the same ID resolve to one winner under
-// jobsMu; adopted re-submissions return the existing job unchanged.
-func (e *Engine) enqueue(job *Job, adopted bool) (*Job, error) {
+	if err := w.validate(e); err != nil {
+		return nil, err
+	}
+	job := &Job{id: id, work: w, state: StateQueued, created: time.Now()}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.draining {
@@ -308,23 +309,22 @@ func (e *Engine) enqueue(job *Job, adopted bool) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	e.jobsMu.Lock()
-	if existing, ok := e.jobs[job.id]; ok {
+	if existing, ok := e.jobs[id]; ok {
 		e.jobsMu.Unlock()
 		if adopted {
 			return existing, nil
 		}
-		return nil, fmt.Errorf("jobs: duplicate job id %s", job.id)
+		return nil, fmt.Errorf("jobs: duplicate job id %s", id)
 	}
-	e.jobs[job.id] = job
+	e.jobs[id] = job
 	e.jobsMu.Unlock()
 	undo := func() {
 		e.jobsMu.Lock()
-		delete(e.jobs, job.id)
+		delete(e.jobs, id)
 		e.jobsMu.Unlock()
 	}
 	if st := e.store.Load(); st != nil {
-		rec := Record{Type: RecSubmitted, Job: job.id, Time: job.created, Spec: &job.spec}
-		if err := st.Append(rec); err != nil {
+		if err := st.Append(job.Record()); err != nil {
 			undo()
 			e.storeErrs.Add(1)
 			e.rejected.Add(1)
@@ -339,36 +339,52 @@ func (e *Engine) enqueue(job *Job, adopted bool) (*Job, error) {
 	e.rejected.Add(1)
 	// Close out the already-written submitted record so recovery
 	// does not resurrect a job the client was refused.
-	e.logRecord(Record{Type: RecRejected, Job: job.id, Error: ErrQueueFull.Error()})
+	e.logRecord(Record{Type: RecRejected, Job: id, Error: ErrQueueFull.Error()})
 	return nil, ErrQueueFull
 }
 
-// AdoptDone installs a terminal done job reconstructed from a dead
-// peer's replicated record: the durable summary is immediately
+// AdoptDone installs a terminal done analysis job reconstructed from a
+// dead peer's replicated record: the durable summary is immediately
 // servable, and the full result re-mines on demand through Rehydrate
-// (recompute spec attached) once the dataset replica is resident.
-// Idempotent: an ID the engine already holds is returned unchanged. The
-// adoption is logged, so it survives this node's own restarts.
+// once the dataset replica is resident. See Adopt.
 func (e *Engine) AdoptDone(id string, spec Spec, summary *ResultSummary) (*Job, error) {
-	if id == "" {
+	return e.Adopt(Record{Type: RecDone, Job: id, Spec: &spec, Result: summary})
+}
+
+// Adopt re-homes one job from a dead peer's replicated Job.Record,
+// idempotently in the job ID. A submitted record re-runs the job here
+// under its original ID; a done record installs the job folded exactly
+// as recovery folds it, and is logged so it survives this node's
+// restarts. Failed and canceled records need nothing (nil, nil).
+func (e *Engine) Adopt(rec Record) (*Job, error) {
+	if rec.Job == "" {
 		return nil, fmt.Errorf("jobs: empty job id")
 	}
-	now := time.Now()
-	specCopy := spec
-	job := &Job{
-		id: id, spec: spec, state: StateDone, recovered: true,
-		created: now, finished: now, summary: summary, recompute: &specCopy,
-	}
-	e.jobsMu.Lock()
-	if existing, ok := e.jobs[id]; ok {
+	switch rec.Type {
+	case RecSubmitted:
+		w, _ := decodeRecord(rec)
+		if w == nil {
+			return nil, fmt.Errorf("jobs: adopted record for job %s carries no readable input", rec.Job)
+		}
+		return e.enqueue(rec.Job, w, true)
+	case RecDone:
+		if rec.Time.IsZero() {
+			rec.Time = time.Now()
+		}
+		job := &Job{id: rec.Job, work: new(Spec), created: rec.Time, recovered: true}
+		job.apply(rec)
+		e.jobsMu.Lock()
+		if existing, ok := e.jobs[rec.Job]; ok {
+			e.jobsMu.Unlock()
+			return existing, nil
+		}
+		e.jobs[rec.Job] = job
 		e.jobsMu.Unlock()
-		return existing, nil
+		e.recovered.Add(1)
+		e.logRecord(rec)
+		return job, nil
 	}
-	e.jobs[id] = job
-	e.jobsMu.Unlock()
-	e.recovered.Add(1)
-	e.logRecord(Record{Type: RecDone, Job: id, Result: summary, Spec: &specCopy})
-	return job, nil
+	return nil, nil
 }
 
 // logRecord is the best-effort write-through: failures are counted, not
@@ -406,21 +422,16 @@ func (e *Engine) Cancel(id string) (Status, error) {
 	}
 	job.canceledByUser.Store(true)
 	job.mu.Lock()
-	canceledWhileQueued := false
-	switch job.state {
-	case StateQueued:
+	canceledWhileQueued := job.state == StateQueued
+	switch {
+	case canceledWhileQueued:
 		job.state = StateCanceled
 		job.finished = time.Now()
 		e.canceled.Add(1)
-		canceledWhileQueued = true
-	case StateRunning:
-		if job.cancel != nil {
-			job.cancel()
-		}
-	default:
-		if job.rehydrateCancel != nil {
-			job.rehydrateCancel()
-		}
+	case job.cancel != nil: // running
+		job.cancel()
+	case job.rehydrateCancel != nil: // recovered done, re-mining
+		job.rehydrateCancel()
 	}
 	job.mu.Unlock()
 	if canceledWhileQueued {
@@ -458,7 +469,7 @@ func (e *Engine) run(job *Job) {
 		job.mu.Unlock()
 		return
 	}
-	timeout := job.spec.Timeout
+	timeout := job.work.common().Timeout
 	if timeout <= 0 {
 		timeout = e.cfg.DefaultTimeout
 	}
@@ -486,92 +497,92 @@ func (e *Engine) run(job *Job) {
 			e.logRecord(Record{Type: RecSnapshot, Job: job.id, Snapshot: snap})
 		},
 	}
+	out, cacheHit, err := e.do(ctx, job.work, tr)
 
-	var res *core.Result
-	var xout *ExploreOutcome
-	var sout *SignificanceOutcome
-	var cacheHit bool
-	var err error
-	switch {
-	case job.explore != nil:
-		xout, err = e.explore(ctx, *job.explore, tr)
-		cacheHit = xout != nil && xout.CacheHit
-	case job.sig != nil:
-		sout, err = e.significance(ctx, *job.sig, tr)
-		cacheHit = sout != nil && sout.CacheHit
-	default:
-		res, cacheHit, err = e.analyzeCached(ctx, job.spec, tr)
-	}
-
-	// Summarize outside the job lock: it ranks the whole lattice, and
-	// status polls must not stall behind it.
-	var sum *ResultSummary
-	if err == nil && res != nil {
-		sum = summarize(res, job.spec)
-	}
-
-	var rec Record
-	job.mu.Lock()
-	job.finished = time.Now()
-	job.cancel = nil
+	// Build the outcome on a detached job and log its terminal record
+	// before publishing it: a client that sees the job finished can rely
+	// on the record being durable. Summarize outside the job lock too —
+	// it ranks the whole lattice, and status polls must not stall on it.
+	fin := &Job{id: job.id, work: job.work, err: err, finished: time.Now()}
 	switch {
 	case err == nil:
-		job.state = StateDone
-		job.result = res
-		job.exploreOut = xout
-		job.sigOut = sout
-		job.summary = sum
-		job.cacheHit = cacheHit
+		fin.state, fin.out, fin.summary, fin.cacheHit = StateDone, out, summaryOf(job.work, out), cacheHit
 		e.completed.Add(1)
-		// The done record carries the spec too (schema v2): together with
-		// the summary it is a self-contained recipe for re-mining the full
-		// result after a restart, as long as the dataset is resident.
-		rec = Record{Type: RecDone, Job: job.id, Result: sum, CacheHit: cacheHit, Spec: &job.spec}
 	case errors.Is(err, context.Canceled) || (job.canceledByUser.Load() && ctx.Err() != nil):
-		job.state = StateCanceled
-		job.err = err
+		fin.state = StateCanceled
 		e.canceled.Add(1)
-		rec = Record{Type: RecCanceled, Job: job.id, Error: err.Error()}
 	default:
 		// Deadline expiry and analysis errors are failures, not
 		// user-requested cancellations.
-		job.state = StateFailed
-		job.err = err
+		fin.state = StateFailed
 		e.failed.Add(1)
-		rec = Record{Type: RecFailed, Job: job.id, Error: err.Error()}
 	}
+	if e.store.Load() != nil { // encoding an outcome costs a marshal
+		e.logRecord(fin.Record())
+	}
+
+	job.mu.Lock()
+	job.state, job.err, job.finished = fin.state, fin.err, fin.finished
+	job.out, job.summary, job.cacheHit = fin.out, fin.summary, fin.cacheHit
+	job.cancel = nil
 	job.mu.Unlock()
-	e.logRecord(rec)
 	e.notifyTerminal(job)
 }
 
-// Analyze runs a spec synchronously through the same result cache the
-// worker pool uses — the /analyze fast path. It does not consume a
-// worker slot or a queue position.
-func (e *Engine) Analyze(ctx context.Context, spec Spec) (*core.Result, error) {
-	res, _, err := e.analyzeCached(ctx, spec, nil)
-	return res, err
-}
-
-// analyzeCached consults the result cache, mining on a miss.
-func (e *Engine) analyzeCached(ctx context.Context, spec Spec, tr *Tracker) (*core.Result, bool, error) {
-	key := spec.CacheKey()
-	if res, ok := e.cache.get(key); ok {
-		return res, true, nil
+// do answers w through its kind's outcome cache — the one path behind
+// every synchronous call (tr nil) and every job run. A hit is served
+// as-is (a copy marked cache_hit, for outcomes that report it); a miss
+// runs the kind and caches the outcome when the kind says it may answer
+// later asks.
+func (e *Engine) do(ctx context.Context, w workload, tr *Tracker) (any, bool, error) {
+	t := e.tiers[w.kind()]
+	t.queries.Add(1)
+	key := w.CacheKey()
+	if v, ok := t.cache.get(key); ok {
+		if m, ok := v.(interface{ markHit() any }); ok {
+			v = m.markHit()
+		}
+		return v, true, nil
 	}
-	entry, ok := e.reg.Get(spec.Dataset)
-	if !ok {
-		// Both sentinels apply: a submit referencing an unknown hash is bad
-		// input (HTTP 400), while the rehydration path matches on
-		// ErrDatasetGone to fall back to the durable summary.
-		return nil, false, fmt.Errorf("%w: %w: %s", ErrBadInput, ErrDatasetGone, spec.Dataset)
-	}
-	res, err := e.analyze(ctx, entry.Data, spec, tr)
+	t.runs.Add(1)
+	out, keep, err := w.run(ctx, e, tr)
 	if err != nil {
 		return nil, false, err
 	}
-	e.cache.put(key, res)
-	return res, false, nil
+	if keep {
+		t.cache.put(key, out)
+	}
+	return out, false, nil
+}
+
+// syncDo validates w and answers it through do on the caller's
+// goroutine, without a worker slot or a queue position.
+func syncDo[T any](ctx context.Context, e *Engine, w workload) (T, error) {
+	var zero T
+	if err := w.validate(e); err != nil {
+		return zero, err
+	}
+	out, _, err := e.do(ctx, w, nil)
+	if err != nil {
+		return zero, err
+	}
+	return out.(T), nil
+}
+
+// Analyze runs a spec synchronously through the same result cache the
+// worker pool uses — the /analyze fast path.
+func (e *Engine) Analyze(ctx context.Context, spec Spec) (*core.Result, error) {
+	return syncDo[*core.Result](ctx, e, &spec)
+}
+
+// summaryOf digests an analysis outcome into the durable summary its
+// done record carries; other kinds log their outcome whole and have
+// none.
+func summaryOf(w workload, out any) *ResultSummary {
+	if res, ok := out.(*core.Result); ok {
+		return summarize(res, w.common())
+	}
+	return nil
 }
 
 // Shutdown drains the engine: no new submissions are accepted, queued
@@ -617,7 +628,7 @@ func (e *Engine) closeStore() error {
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Workers:      e.workers,
+		Workers:      e.cfg.Workers,
 		Busy:         int(e.busy.Load()),
 		QueueLen:     e.queue.Len(),
 		QueueCap:     e.queue.Cap(),
@@ -630,7 +641,7 @@ func (e *Engine) Stats() Stats {
 		Recovered:    e.recovered.Load(),
 		Rehydrated:   e.rehydrated.Load(),
 		StoreErrors:  e.storeErrs.Load(),
-		ResultCache:  e.cache.stats(),
+		ResultCache:  e.tiers[KindAnalysis].cache.stats(),
 		Explore:      e.ExploreStatsSnapshot(),
 		Significance: e.SignificanceStatsSnapshot(),
 	}

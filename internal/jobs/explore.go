@@ -1,11 +1,8 @@
 package jobs
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -43,6 +40,9 @@ type ExploreSpec struct {
 	SampleSeed int64
 	// Confidence for the error bounds (core.DefaultConfidence when 0).
 	Confidence float64
+	// Tenant is the admission identity of an asynchronous submission; like
+	// Spec.Tenant it never shapes the answer and is not in CacheKey.
+	Tenant string `json:",omitempty"`
 }
 
 // CacheKey identifies the cached outcome for a spec. Budgets are
@@ -51,13 +51,8 @@ type ExploreSpec struct {
 // serve any budget. Sampling parameters change the answer and are
 // included.
 func (s ExploreSpec) CacheKey() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	parts := []string{
-		"explore", string(s.Dataset), s.TruthCol, s.PredCol,
-		f(s.Support), s.Metric, strconv.Itoa(s.TopK),
-		strconv.Itoa(s.SampleRows), strconv.FormatInt(s.SampleSeed, 10), f(s.Confidence),
-	}
-	return strings.Join(parts, "\x1f")
+	return joinKey("explore", s.Dataset, s.TruthCol, s.PredCol, s.Support, s.Metric, s.TopK,
+		s.SampleRows, s.SampleSeed, s.Confidence)
 }
 
 // ExplorePattern is one ranked pattern on the explore wire format. The
@@ -134,12 +129,6 @@ type ExploreStats struct {
 	Navigation lattice.ExplorerStats `json:"navigation"`
 }
 
-// exploreCache is an LRU of complete explore outcomes. Outcomes are
-// immutable once published.
-type exploreCache struct {
-	c *keyedLRU
-}
-
 // session is one per-(dataset, labels) exploration context: the
 // transaction database and the navigation explorer sharing its
 // conditional-tally cache across requests.
@@ -148,83 +137,49 @@ type session struct {
 	nav *lattice.Explorer
 }
 
-// keyedLRU is the engine's shared entry-bounded LRU shape.
-type keyedLRU struct {
-	capacity  int
-	ll        *list.List
-	entries   map[string]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
+func (s *ExploreSpec) kind() Kind { return KindExplore }
+
+func (s *ExploreSpec) common() Spec {
+	return Spec{Dataset: s.Dataset, TruthCol: s.TruthCol, PredCol: s.PredCol, Support: s.Support, Tenant: s.Tenant}
 }
 
-type lruEntry struct {
-	key string
-	val interface{}
+// markHit returns a copy of a cached outcome marked as served from the
+// cache.
+func (o *ExploreOutcome) markHit() any {
+	hit := *o
+	hit.CacheHit = true
+	return &hit
 }
 
-func newKeyedLRU(capacity int) *keyedLRU {
-	return &keyedLRU{capacity: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
-}
-
-func (c *keyedLRU) get(key string) (interface{}, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-func (c *keyedLRU) put(key string, val interface{}) {
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).val = val
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*lruEntry).key)
-		c.evictions++
-	}
-}
-
-func (c *keyedLRU) stats() CacheStats {
-	return CacheStats{
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
-}
-
-// validateExplore normalizes and checks a spec, resolving the metric.
-func (e *Engine) validateExplore(s *ExploreSpec) (core.Metric, error) {
+// validate normalizes and checks a spec, resolving the metric name.
+func (s *ExploreSpec) validate(*Engine) error {
 	if s.Support < 0 || s.Support > 1 {
-		return core.Metric{}, fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, s.Support)
+		return fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, s.Support)
 	}
 	if s.TopK <= 0 {
 		s.TopK = 10
 	}
 	if s.BudgetMS < 0 || s.MaxPatterns < 0 || s.SampleRows < 0 {
-		return core.Metric{}, fmt.Errorf("%w: negative budget", ErrBadInput)
+		return fmt.Errorf("%w: negative budget", ErrBadInput)
 	}
 	if s.Confidence < 0 || s.Confidence >= 1 {
-		return core.Metric{}, fmt.Errorf("%w: confidence %v out of [0,1)", ErrBadInput, s.Confidence)
+		return fmt.Errorf("%w: confidence %v out of [0,1)", ErrBadInput, s.Confidence)
 	}
-	if s.Metric == "" {
-		s.Metric = "ER"
+	_, err := normalizeMetric(&s.Metric)
+	return err
+}
+
+// normalizeMetric resolves a metric name, defaulting an empty one to
+// "ER", and canonicalizes it in place.
+func normalizeMetric(name *string) (core.Metric, error) {
+	if *name == "" {
+		*name = "ER"
 	}
-	m, err := core.MetricByName(s.Metric)
+	m, err := core.MetricByName(*name)
 	if err != nil {
 		return core.Metric{}, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	s.Metric = m.Name
+	*name = m.Name
 	return m, nil
 }
 
@@ -232,38 +187,20 @@ func (e *Engine) validateExplore(s *ExploreSpec) (core.Metric, error) {
 // label-column pair, building the transaction database on first use.
 func (e *Engine) session(ds registry.Hash, truthCol, predCol string) (*session, error) {
 	key := string(ds) + "\x1f" + truthCol + "\x1f" + predCol
-	e.exploreMu.Lock()
-	if v, ok := e.sessions.get(key); ok {
-		e.exploreMu.Unlock()
-		return v.(*session), nil
+	if s, ok := e.sessions.get(key); ok {
+		return s, nil
 	}
-	e.exploreMu.Unlock()
 
 	entry, ok := e.reg.Get(ds)
 	if !ok {
 		return nil, fmt.Errorf("%w: %w: %s", ErrBadInput, ErrDatasetGone, ds)
 	}
-	truth, pred, rest, err := extractLabels(entry.Data, truthCol, predCol)
+	db, err := labeledTxDB(entry.Data, truthCol, predCol)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, err
 	}
-	classes, err := core.ConfusionClasses(truth, pred)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	db, err := fpm.NewTxDB(rest, classes, core.NumConfusionClasses)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	s := &session{db: db, nav: lattice.NewExplorer(db, 0)}
-
-	e.exploreMu.Lock()
-	defer e.exploreMu.Unlock()
-	if v, ok := e.sessions.get(key); ok { // raced with another builder
-		return v.(*session), nil
-	}
-	e.sessions.put(key, s)
-	return s, nil
+	// A concurrent builder may have won; its session is the one kept.
+	return e.sessions.put(key, &session{db: db, nav: lattice.NewExplorer(db, 0)}), nil
 }
 
 // Explore answers one anytime exploration synchronously, consulting the
@@ -272,34 +209,24 @@ func (e *Engine) session(ds registry.Hash, truthCol, predCol string) (*session, 
 // truthfully serves any budgeted re-ask of the same question, marked
 // cache_hit with partial=false.
 func (e *Engine) Explore(ctx context.Context, spec ExploreSpec) (*ExploreOutcome, error) {
-	return e.explore(ctx, spec, nil)
+	return syncDo[*ExploreOutcome](ctx, e, &spec)
 }
 
-// explore is the shared sync/async implementation; tr may be nil.
-func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*ExploreOutcome, error) {
-	m, err := e.validateExplore(&spec)
+// run mines the anytime top-K; with a tracker, refinements stream as
+// partial snapshots.
+func (s *ExploreSpec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	m, err := core.MetricByName(s.Metric)
 	if err != nil {
-		return nil, err
+		return nil, false, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	e.explores.Add(1)
-	key := spec.CacheKey()
-	e.exploreMu.Lock()
-	if v, ok := e.xcache.c.get(key); ok {
-		e.exploreMu.Unlock()
-		out := *v.(*ExploreOutcome)
-		out.CacheHit = true
-		return &out, nil
-	}
-	e.exploreMu.Unlock()
-
-	sess, err := e.session(spec.Dataset, spec.TruthCol, spec.PredCol)
+	sess, err := e.session(s.Dataset, s.TruthCol, s.PredCol)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
-	budget := fpm.AnytimeBudget{MaxPatterns: spec.MaxPatterns}
-	if spec.BudgetMS > 0 {
-		budget.Deadline = time.Now().Add(time.Duration(spec.BudgetMS) * time.Millisecond)
+	budget := fpm.AnytimeBudget{MaxPatterns: s.MaxPatterns}
+	if s.BudgetMS > 0 {
+		budget.Deadline = time.Now().Add(time.Duration(s.BudgetMS) * time.Millisecond)
 	}
 	// The surrounding context's deadline (job timeout, client timeout)
 	// tightens the budget; explicit cancellation between deadlines is not
@@ -310,9 +237,9 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 
 	opts := core.AnytimeOptions{
 		Budget:     budget,
-		SampleRows: spec.SampleRows,
-		SampleSeed: spec.SampleSeed,
-		Confidence: spec.Confidence,
+		SampleRows: s.SampleRows,
+		SampleSeed: s.SampleSeed,
+		Confidence: s.Confidence,
 	}
 	if tr != nil {
 		opts.OnUpdate = func(top []core.RankedEstimate, visited int64) {
@@ -323,10 +250,9 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 			})
 		}
 	}
-	e.exploreMines.Add(1)
-	res, err := core.ExploreTopKAnytime(sess.db, spec.Support, m, spec.TopK, core.ByAbsDivergence, opts)
+	res, err := core.ExploreTopKAnytime(sess.db, s.Support, m, s.TopK, core.ByAbsDivergence, opts)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, false, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 
 	kp, kn := m.Counts(sess.db.TotalTally())
@@ -354,22 +280,16 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 			Reason:   out.Reason,
 		})
 	}
-	if res.Reason == fpm.ReasonExhausted {
-		e.exploreMu.Lock()
-		e.xcache.c.put(key, out)
-		e.exploreMu.Unlock()
-	}
-	return out, nil
+	return out, res.Reason == fpm.ReasonExhausted, nil
 }
 
 // Expand answers one navigation step from the per-dataset explorer —
 // cached conditional tallies, no mining.
 func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
-	xs := ExploreSpec{
-		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
-		Support: spec.Support, Metric: spec.Metric,
+	if spec.Support < 0 || spec.Support > 1 {
+		return nil, fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, spec.Support)
 	}
-	m, err := e.validateExplore(&xs)
+	m, err := normalizeMetric(&spec.Metric)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +301,7 @@ func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	minCount := fpm.MinCount(sess.db.NumRows(), xs.Support)
+	minCount := fpm.MinCount(sess.db.NumRows(), spec.Support)
 
 	var refs []lattice.Refinement
 	if spec.Attr != "" {
@@ -429,17 +349,16 @@ func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
 
 // ExploreStatsSnapshot returns the anytime-tier counters.
 func (e *Engine) ExploreStatsSnapshot() ExploreStats {
-	e.exploreMu.Lock()
-	defer e.exploreMu.Unlock()
+	t := e.tiers[KindExplore]
 	st := ExploreStats{
-		Explores: e.explores.Load(),
-		Mines:    e.exploreMines.Load(),
+		Explores: t.queries.Load(),
+		Mines:    t.runs.Load(),
 		Expands:  e.expands.Load(),
-		Cache:    e.xcache.c.stats(),
-		Sessions: e.sessions.ll.Len(),
+		Cache:    t.cache.stats(),
 	}
-	for el := e.sessions.ll.Front(); el != nil; el = el.Next() {
-		ns := el.Value.(*lruEntry).val.(*session).nav.Stats()
+	e.sessions.each(func(s *session) {
+		ns := s.nav.Stats()
+		st.Sessions++
 		st.Navigation.Entries += ns.Entries
 		st.Navigation.Hits += ns.Hits
 		st.Navigation.Misses += ns.Misses
@@ -447,7 +366,7 @@ func (e *Engine) ExploreStatsSnapshot() ExploreStats {
 		st.Navigation.RowsScanned += ns.RowsScanned
 		st.Navigation.Expands += ns.Expands
 		st.Navigation.Capacity = ns.Capacity
-	}
+	})
 	return st
 }
 
@@ -506,27 +425,4 @@ func partialPatterns(cat *fpm.Catalog, top []core.RankedEstimate) []PartialPatte
 		}
 	}
 	return out
-}
-
-// SubmitExplore enqueues an anytime exploration as an asynchronous job:
-// it runs on the worker pool, streams top-K refinements through the
-// job's partial-result snapshots, and finishes with a final snapshot
-// whose Reason field carries the completion reason. The job's Result()
-// is never populated; the outcome is read with Job.Explore().
-func (e *Engine) SubmitExplore(spec ExploreSpec) (*Job, error) {
-	if _, err := e.validateExplore(&spec); err != nil {
-		return nil, err
-	}
-	id, err := newJobID()
-	if err != nil {
-		return nil, err
-	}
-	// The synthesized Spec keeps the WAL records and status endpoints
-	// meaningful for explore jobs.
-	jspec := Spec{
-		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
-		Support: spec.Support, Metrics: []string{spec.Metric}, TopK: spec.TopK,
-	}
-	job := &Job{id: id, spec: jspec, explore: &spec, state: StateQueued, created: time.Now()}
-	return e.enqueue(job, false)
 }

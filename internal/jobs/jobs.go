@@ -1,23 +1,26 @@
-// Package jobs is the asynchronous analysis-job engine: a bounded worker
-// pool runs DivExplorer explorations (via the parallel FP-growth path)
-// off the request goroutine, with a full job lifecycle
+// Package jobs is the asynchronous job engine: a bounded worker pool
+// runs DivExplorer analyses (via the parallel FP-growth path), anytime
+// explorations and significance queries off the request goroutine, with
+// a full job lifecycle
 //
 //	queued → running → done | failed | canceled
 //
 // per-job context cancellation and deadline, a bounded queue with
 // explicit backpressure (ErrQueueFull instead of unbounded growth), an
-// LRU result cache keyed by the analysis inputs, and graceful drain on
-// shutdown. Datasets are referenced by content hash through
+// LRU outcome cache per job kind shared by the synchronous and
+// asynchronous paths, and graceful drain on shutdown. Every kind goes
+// through one seam (the workload interface): one submit, run, cache and
+// WAL path. Datasets are referenced by content hash through
 // internal/registry, so identical uploads mine at most once and repeat
 // requests are served from the cache.
 package jobs
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,22 +72,14 @@ const (
 	StateCanceled
 )
 
+var stateNames = [...]string{"queued", "running", "done", "failed", "canceled"}
+
 // String returns the wire name of the state.
 func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateCanceled:
-		return "canceled"
-	default:
+	if s < 0 || int(s) >= len(stateNames) {
 		return "unknown"
 	}
+	return stateNames[s]
 }
 
 // Terminal reports whether the state is final.
@@ -121,47 +116,87 @@ type Spec struct {
 // (TopK, Alpha, Timeout) and the admission identity (Tenant) are
 // deliberately excluded.
 func (s Spec) CacheKey() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	parts := []string{
-		string(s.Dataset), s.TruthCol, s.PredCol,
-		f(s.Support), strings.Join(s.Metrics, ","), f(s.Epsilon),
-	}
-	return strings.Join(parts, "\x1f")
+	return joinKey(s.Dataset, s.TruthCol, s.PredCol, s.Support, strings.Join(s.Metrics, ","), s.Epsilon)
 }
 
-// Job is one submitted analysis. All exported access goes through
-// Snapshot; the engine owns the mutable state.
+// joinKey joins cache-key parts with a unit separator. Floats print in
+// their shortest exact form, so distinct values never share a key.
+func joinKey(parts ...any) string {
+	var b strings.Builder
+	for i, p := range parts {
+		if i > 0 {
+			b.WriteByte(0x1f)
+		}
+		fmt.Fprint(&b, p)
+	}
+	return b.String()
+}
+
+// Kind names a job's workload on the wire, in Status and in the WAL.
+type Kind string
+
+// The job kinds.
+const (
+	KindAnalysis     Kind = "analysis"
+	KindExplore      Kind = "explore"
+	KindSignificance Kind = "significance"
+)
+
+// workload is one job kind: the input a job carries and how the engine
+// validates, caches and runs it. *Spec (analysis), *ExploreSpec and
+// *SignificanceSpec implement it; the submit, run, cache and WAL paths
+// see only this interface.
+type workload interface {
+	kind() Kind
+	// CacheKey names the outcome in the kind's cache.
+	CacheKey() string
+	// validate normalizes the input in place, wrapping ErrBadInput on
+	// rejection.
+	validate(e *Engine) error
+	// run computes the outcome (tr is nil on synchronous calls) and
+	// reports whether it may answer later asks of the same cache key.
+	run(ctx context.Context, e *Engine, tr *Tracker) (out any, cache bool, err error)
+	// common is the analysis-shaped view of the input that status and
+	// routing read: dataset, label columns, support, timeout and tenant.
+	common() Spec
+}
+
+// kinds lists the job kinds whose WAL records carry their input and
+// outcome as JSON (analysis keeps its v1/v2 layout): a fresh input and
+// a fresh outcome for replay to decode into.
+var kinds = map[Kind]func() (workload, any){
+	KindExplore:      func() (workload, any) { return new(ExploreSpec), new(ExploreOutcome) },
+	KindSignificance: func() (workload, any) { return new(SignificanceSpec), new(SignificanceOutcome) },
+}
+
+// Job is one submitted job of any kind. All exported access goes
+// through Snapshot and the outcome accessors; the engine owns the
+// mutable state.
 type Job struct {
-	id   string
-	spec Spec
-	// explore, when non-nil, marks an anytime exploration job
-	// (SubmitExplore); run() routes it to the explore path instead of a
-	// full analysis. sig does the same for significance jobs
-	// (SubmitSignificance).
-	explore *ExploreSpec
-	sig     *SignificanceSpec
+	id string
+	// work is the job's input; set before the job is published and never
+	// changed afterwards, so it is read without the lock.
+	work workload
 
-	mu         sync.Mutex
-	state      State
-	err        error
-	result     *core.Result
-	exploreOut *ExploreOutcome
-	sigOut     *SignificanceOutcome
-	summary    *ResultSummary
-	recovered  bool
-	cacheHit   bool
-	created    time.Time
-	started    time.Time
-	finished   time.Time
-	cancel     func() // non-nil only while running
+	mu        sync.Mutex
+	state     State
+	err       error
+	out       any // the kind's outcome once done (nil for a recovered analysis until Rehydrate)
+	summary   *ResultSummary
+	recovered bool
+	cacheHit  bool
+	created   time.Time
+	started   time.Time
+	finished  time.Time
+	cancel    func() // non-nil only while running
 
-	// recompute, set during recovery from a v2 done record, is the spec
-	// to re-mine the full result from; rehydrateMu single-flights that
-	// re-mine so concurrent result fetches do not each run it.
+	// recomputable, set during recovery from a v2+ analysis done record,
+	// marks a result Rehydrate can re-mine; rehydrateMu single-flights
+	// that re-mine so concurrent result fetches do not each run it.
 	// rehydrateCancel, non-nil only while that re-mine is in flight,
 	// aborts it — Cancel on a recovered done job must stop the re-mine
 	// instead of letting it complete and repopulate caches.
-	recompute       *Spec
+	recomputable    bool
 	rehydrateMu     sync.Mutex
 	rehydrateCancel func()
 
@@ -175,21 +210,26 @@ type Job struct {
 // ID returns the job's opaque identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the submitted spec.
-func (j *Job) Spec() Spec { return j.spec }
+// Kind returns the job's workload kind.
+func (j *Job) Kind() Kind { return j.work.kind() }
 
-// Result returns the mined result once the job is done. For done jobs
-// recovered from the store only the summary survives; Result returns
-// ErrNoResult and callers fall back to Summary.
-func (j *Job) Result() (*core.Result, error) {
+// Spec returns the submitted analysis spec; for other kinds, the
+// dataset, label columns, support and tenant of their input.
+func (j *Job) Spec() Spec { return j.work.common() }
+
+// Outcome returns a done job's outcome: *core.Result, *ExploreOutcome
+// or *SignificanceOutcome by kind. A done analysis recovered from the
+// store has only its summary until Rehydrate re-mines it; Outcome then
+// returns ErrNoResult.
+func (j *Job) Outcome() (any, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateDone:
-		if j.result == nil {
+		if j.out == nil {
 			return nil, fmt.Errorf("%w: job %s", ErrNoResult, j.id)
 		}
-		return j.result, nil
+		return j.out, nil
 	case StateFailed:
 		return nil, j.err
 	default:
@@ -197,45 +237,36 @@ func (j *Job) Result() (*core.Result, error) {
 	}
 }
 
-// Explore returns the anytime-exploration outcome of a done explore
-// job (SubmitExplore). Analysis jobs and unfinished jobs have none.
-func (j *Job) Explore() (*ExploreOutcome, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone:
-		if j.exploreOut == nil {
-			return nil, fmt.Errorf("jobs: job %s is not an explore job", j.id)
-		}
-		return j.exploreOut, nil
-	case StateFailed:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
+// outcomeAs is Outcome typed for jobs of kind k.
+func outcomeAs[T any](j *Job, k Kind) (T, error) {
+	var zero T
+	if got := j.Kind(); got != k {
+		return zero, fmt.Errorf("jobs: job %s is a %s job, not %s", j.id, got, k)
 	}
+	out, err := j.Outcome()
+	if err != nil {
+		return zero, err
+	}
+	return out.(T), nil
 }
 
-// Significance returns the significance outcome of a done significance
-// job (SubmitSignificance). Other job kinds and unfinished jobs have
-// none.
+// Result returns the mined result of a done analysis job. For done jobs
+// recovered from the store only the summary survives; Result returns
+// ErrNoResult and callers fall back to Summary.
+func (j *Job) Result() (*core.Result, error) { return outcomeAs[*core.Result](j, KindAnalysis) }
+
+// Explore returns the outcome of a done explore job (SubmitExplore).
+func (j *Job) Explore() (*ExploreOutcome, error) { return outcomeAs[*ExploreOutcome](j, KindExplore) }
+
+// Significance returns the outcome of a done significance job
+// (SubmitSignificance).
 func (j *Job) Significance() (*SignificanceOutcome, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone:
-		if j.sigOut == nil {
-			return nil, fmt.Errorf("jobs: job %s is not a significance job", j.id)
-		}
-		return j.sigOut, nil
-	case StateFailed:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
-	}
+	return outcomeAs[*SignificanceOutcome](j, KindSignificance)
 }
 
-// Summary returns the durable result digest, nil until the job is done.
-// It is the only result representation that survives a restart.
+// Summary returns the durable result digest of a done analysis job, nil
+// before then and for other kinds (whose WAL records carry the whole
+// outcome instead).
 func (j *Job) Summary() *ResultSummary {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -243,22 +274,22 @@ func (j *Job) Summary() *ResultSummary {
 }
 
 // Partial returns the latest partial-result snapshot, nil before the
-// first one. For jobs recovered from the store this is the last
-// snapshot the previous process persisted.
+// first one. For jobs recovered from the store this is the
+// highest-sequence snapshot the previous process persisted.
 func (j *Job) Partial() *Snapshot { return j.partial.Load() }
 
 // Recomputable reports whether the job's full result can in principle be
-// re-mined after recovery: its done record carried a spec (schema v2).
+// re-mined after recovery: its done record carried a spec (schema v2+).
 // Whether the re-mine succeeds still depends on the dataset being
 // resident when Engine.Rehydrate runs.
 func (j *Job) Recomputable() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.recompute != nil
+	return j.recomputable
 }
 
-// Recovered reports whether the job was reconstructed from the store by
-// Recover rather than run by this process.
+// Recovered reports whether the job was reconstructed from the store (or
+// adopted from a dead peer) rather than run by this process.
 func (j *Job) Recovered() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -268,6 +299,7 @@ func (j *Job) Recovered() bool {
 // Status is an immutable snapshot of a job's externally visible state.
 type Status struct {
 	ID        string
+	Kind      Kind
 	Spec      Spec
 	State     State
 	Err       string
@@ -276,8 +308,9 @@ type Status struct {
 	Created   time.Time
 	Started   time.Time
 	Finished  time.Time
-	// ProgressDone/ProgressTotal count completed mining subproblems;
-	// both are zero until the first subproblem finishes.
+	// ProgressDone/ProgressTotal count completed subproblems (mining) or
+	// permutations (significance); both are zero until the first one
+	// finishes.
 	ProgressDone  int64
 	ProgressTotal int64
 }
@@ -288,7 +321,8 @@ func (j *Job) Snapshot() Status {
 	defer j.mu.Unlock()
 	st := Status{
 		ID:            j.id,
-		Spec:          j.spec,
+		Kind:          j.work.kind(),
+		Spec:          j.work.common(),
 		State:         j.state,
 		CacheHit:      j.cacheHit,
 		Recovered:     j.recovered,

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -15,10 +16,12 @@ import (
 // startup path of a durable server. After Recover:
 //
 //   - jobs whose log reached a terminal state are visible with their
-//     recorded outcome; done jobs carry the durable result summary and,
-//     when their done record was written in schema v2, the spec needed
-//     to re-mine the full result on demand (Rehydrate) — the last
-//     persisted partial snapshot, if any, is reattached;
+//     kind and recorded outcome: done explore and significance jobs
+//     (schema v3) get their exact outcome back; done analyses carry the
+//     durable result summary and, when their done record was written in
+//     schema v2 or later, the spec needed to re-mine the full result on
+//     demand (Rehydrate). The highest-sequence persisted partial
+//     snapshot, if any, is reattached;
 //   - jobs the previous process left queued or running are re-marked
 //     failed with ErrInterrupted — visible and explained, never
 //     silently lost — and the re-mark is itself written to the log so
@@ -46,19 +49,22 @@ func (e *Engine) RecoverFS(dir string, fsys faultfs.FS) (int, error) {
 	}
 
 	jobsByID := make(map[string]*Job)
-	rejected := make(map[string]bool)
-	var order []string // log order, for deterministic re-mark records
+	rejected := make(map[string]bool) // the client was told no
+	var order []string                // log order, for deterministic re-mark records
 	for _, rec := range st.Replay() {
 		if rec.MonitorRecord() {
 			continue // monitor subsystem records; monitor.Manager.Recover folds them
 		}
 		j := jobsByID[rec.Job]
 		if j == nil {
-			j = &Job{id: rec.Job, state: StateQueued, created: rec.Time, recovered: true}
+			j = &Job{id: rec.Job, work: new(Spec), state: StateQueued, created: rec.Time, recovered: true}
 			jobsByID[rec.Job] = j
 			order = append(order, rec.Job)
 		}
-		applyRecord(j, rec, rejected)
+		if rec.Type == RecRejected {
+			rejected[rec.Job] = true
+		}
+		j.apply(rec)
 	}
 
 	now := time.Now()
@@ -92,34 +98,41 @@ func (e *Engine) RecoverFS(dir string, fsys faultfs.FS) (int, error) {
 	return n, nil
 }
 
-// applyRecord folds one log record into the job being reconstructed.
-// Records arrive in log order, so the last state transition wins.
-func applyRecord(j *Job, rec Record, rejected map[string]bool) {
+// apply folds one log record into the job being reconstructed, on
+// recovery and on adoption from a dead peer. Records arrive in log
+// order, so the last state transition wins; snapshots are the exception
+// — parallel workers may log them out of order, so the highest sequence
+// number wins.
+func (j *Job) apply(rec Record) {
 	switch rec.Type {
 	case RecSubmitted:
-		if rec.Spec != nil {
-			j.spec = *rec.Spec
+		if w, _ := decodeRecord(rec); w != nil {
+			j.work = w
 		}
 		j.created = rec.Time
-	case RecRejected:
-		rejected[rec.Job] = true
 	case RecRunning:
 		j.state = StateRunning
 		j.started = rec.Time
 	case RecSnapshot:
-		if rec.Snapshot != nil {
-			j.partial.Store(rec.Snapshot)
-			j.progressDone.Store(int64(rec.Snapshot.Done))
-			j.progressTotal.Store(int64(rec.Snapshot.Total))
+		if snap := rec.Snapshot; snap != nil {
+			if cur := j.partial.Load(); cur == nil || snap.Seq > cur.Seq {
+				j.partial.Store(snap)
+				j.progressDone.Store(int64(snap.Done))
+				j.progressTotal.Store(int64(snap.Total))
+			}
 		}
 	case RecDone:
 		j.state = StateDone
 		j.summary = rec.Result
 		j.cacheHit = rec.CacheHit
 		j.finished = rec.Time
-		// Schema v2 done records carry the spec; v1 records leave it nil
-		// and the job folds to summary-only, the pre-v2 behavior.
-		j.recompute = rec.Spec
+		// An analysis done record of schema v2+ carries the spec, the
+		// recipe Rehydrate re-mines from; v1 records leave it nil and the
+		// job folds to summary-only. Other kinds carry the exact outcome.
+		j.recomputable = rec.Spec != nil
+		if w, out := decodeRecord(rec); w != nil {
+			j.work, j.out = w, out
+		}
 	case RecFailed:
 		j.state = StateFailed
 		j.err = recordError(rec.Error)
@@ -133,8 +146,70 @@ func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 	// forward-compatible with additive changes.
 }
 
-// Rehydrate re-mines the full result of a done job that was recovered
-// from the store — the lazy half of full-result durability. The done
+// decodeRecord rebuilds the input a submitted or done record carries
+// and, for kinds logged whole, the outcome of a done record. It returns
+// a nil input when the record has none it can read (a v1 done record,
+// a kind this build does not know).
+func decodeRecord(rec Record) (workload, any) {
+	if mk, ok := kinds[rec.Kind]; ok {
+		w, out := mk()
+		if json.Unmarshal(rec.Input, w) != nil {
+			return nil, nil
+		}
+		if rec.Outcome == nil || json.Unmarshal(rec.Outcome, out) != nil {
+			return w, nil
+		}
+		return w, out
+	}
+	if rec.Spec == nil || (rec.Kind != "" && rec.Kind != KindAnalysis) {
+		return nil, nil
+	}
+	spec := *rec.Spec
+	return &spec, nil
+}
+
+// Record encodes the job's current state as the log record the store
+// appends and the cluster layer hands to a replica (see Adopt): the
+// submitted record while queued or running, the done record once done,
+// a bare terminal marker once failed or canceled.
+func (j *Job) Record() Record {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rec := Record{Job: j.id}
+	switch j.state {
+	case StateQueued, StateRunning:
+		rec.Type, rec.Time = RecSubmitted, j.created
+	case StateDone:
+		rec.Type, rec.Time, rec.Result, rec.CacheHit = RecDone, j.finished, j.summary, j.cacheHit
+	default:
+		rec.Type, rec.Time = RecFailed, j.finished
+		if j.state == StateCanceled {
+			rec.Type = RecCanceled
+		}
+		if j.err != nil {
+			rec.Error = j.err.Error()
+		}
+		return rec
+	}
+	if spec, ok := j.work.(*Spec); ok {
+		rec.Spec = spec
+		return rec
+	}
+	// Inputs and outcomes are plain structs of finite numbers; one that
+	// does not encode leaves the record without it, and replay folds the
+	// job as having nothing to serve.
+	rec.Kind = j.work.kind()
+	rec.Input, _ = json.Marshal(j.work)
+	if rec.Type == RecDone && j.out != nil {
+		rec.Outcome, _ = json.Marshal(j.out)
+	}
+	return rec
+}
+
+// Rehydrate re-mines the full result of a done analysis job that was
+// recovered from the store (or adopted from a dead peer) — the lazy half
+// of full-result durability. Other kinds never re-mine: their done
+// record carries the exact outcome, which recovery reinstalls. The done
 // record's spec (schema v2) names the dataset by content hash; if the
 // registry still holds it, the exploration re-runs through the shared
 // result cache and the result is pinned back onto the job, so the first
@@ -149,28 +224,28 @@ func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 // dataset returns ErrDatasetGone. In the latter two cases the durable
 // summary is still servable.
 func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) {
+	spec, analysis := job.work.(*Spec)
 	job.mu.Lock()
-	state := job.state
-	res := job.result
-	spec := job.recompute
+	state, out, recomputable := job.state, job.out, job.recomputable
 	job.mu.Unlock()
-	if state != StateDone {
+	switch {
+	case state != StateDone:
 		return nil, fmt.Errorf("jobs: job %s is %s, not done", job.id, state)
-	}
-	if res != nil {
-		return res, nil
-	}
-	if spec == nil {
+	case !analysis:
+		return nil, fmt.Errorf("jobs: job %s is a %s job; only analyses re-mine", job.id, job.Kind())
+	case out != nil:
+		return out.(*core.Result), nil
+	case !recomputable:
 		return nil, fmt.Errorf("%w: job %s has no recompute spec (v1 done record)", ErrNoResult, job.id)
 	}
 
 	job.rehydrateMu.Lock()
 	defer job.rehydrateMu.Unlock()
 	job.mu.Lock()
-	res = job.result
+	out = job.out
 	job.mu.Unlock()
-	if res != nil { // a concurrent fetch already re-mined it
-		return res, nil
+	if out != nil { // a concurrent fetch already re-mined it
+		return out.(*core.Result), nil
 	}
 	// Expose a cancel handle while the re-mine is in flight: Cancel on a
 	// recovered done job (DELETE mid-rehydrate) aborts the mine here
@@ -179,7 +254,7 @@ func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) 
 	job.mu.Lock()
 	job.rehydrateCancel = rcancel
 	job.mu.Unlock()
-	res, _, err := e.analyzeCached(rctx, *spec, nil)
+	out, _, err := e.do(rctx, spec, nil)
 	job.mu.Lock()
 	job.rehydrateCancel = nil
 	job.mu.Unlock()
@@ -188,10 +263,10 @@ func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) 
 		return nil, err
 	}
 	job.mu.Lock()
-	job.result = res
+	job.out = out
 	job.mu.Unlock()
 	e.rehydrated.Add(1)
-	return res, nil
+	return out.(*core.Result), nil
 }
 
 // recordError rehydrates a persisted error string. The interrupted

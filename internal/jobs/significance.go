@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/permtest"
@@ -63,22 +60,18 @@ type SignificanceSpec struct {
 	// Baseline additionally fits the max-entropy (independence-model)
 	// support baseline for each reported pattern.
 	Baseline bool
+	// Tenant is the admission identity of an asynchronous submission; like
+	// Spec.Tenant it never shapes the answer and is not in CacheKey.
+	Tenant string `json:",omitempty"`
 }
 
-// CacheKey identifies the cached outcome for a spec. Every field
-// changes the answer, so every field is included; validateSignificance
+// CacheKey identifies the cached outcome for a spec. Every field but
+// Tenant changes the answer, so every other field is included; validate
 // normalizes the method-irrelevant permutation knobs first so
 // equivalent analytic specs collapse to one entry.
 func (s SignificanceSpec) CacheKey() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	parts := []string{
-		"significance", string(s.Dataset), s.TruthCol, s.PredCol,
-		f(s.Support), s.Metric, s.Method, f(s.Alpha),
-		strconv.Itoa(s.Permutations), strconv.FormatInt(s.Seed, 10),
-		strconv.FormatBool(s.Exhaustive), strconv.Itoa(s.TopK),
-		strconv.FormatBool(s.Baseline),
-	}
-	return strings.Join(parts, "\x1f")
+	return joinKey("significance", s.Dataset, s.TruthCol, s.PredCol, s.Support, s.Metric, s.Method,
+		s.Alpha, s.Permutations, s.Seed, s.Exhaustive, s.TopK, s.Baseline)
 }
 
 // MaxEntInfo is the max-entropy baseline slice of a reported pattern.
@@ -131,25 +124,39 @@ type SignificanceStats struct {
 	Cache        CacheStats `json:"cache"`
 }
 
-// validateSignificance normalizes and checks a spec, resolving the
-// metric. Method-irrelevant knobs are zeroed so the cache key collapses
+func (s *SignificanceSpec) kind() Kind { return KindSignificance }
+
+func (s *SignificanceSpec) common() Spec {
+	return Spec{Dataset: s.Dataset, TruthCol: s.TruthCol, PredCol: s.PredCol, Support: s.Support, Tenant: s.Tenant}
+}
+
+// markHit returns a copy of a cached outcome marked as served from the
+// cache.
+func (o *SignificanceOutcome) markHit() any {
+	hit := *o
+	hit.CacheHit = true
+	return &hit
+}
+
+// validate normalizes and checks a spec, resolving the metric name.
+// Method-irrelevant knobs are zeroed so the cache key collapses
 // equivalent specs.
-func (e *Engine) validateSignificance(s *SignificanceSpec) (core.Metric, error) {
+func (s *SignificanceSpec) validate(e *Engine) error {
 	if s.Support < 0 || s.Support > 1 {
-		return core.Metric{}, fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, s.Support)
+		return fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, s.Support)
 	}
 	// lint:ignore floatcmp the zero value is the explicit "use the default" sentinel
 	if s.Alpha == 0 {
 		s.Alpha = 0.05
 	}
 	if s.Alpha <= 0 || s.Alpha >= 1 {
-		return core.Metric{}, fmt.Errorf("%w: alpha %v out of (0,1)", ErrBadInput, s.Alpha)
+		return fmt.Errorf("%w: alpha %v out of (0,1)", ErrBadInput, s.Alpha)
 	}
 	if s.TopK <= 0 {
 		s.TopK = 20
 	}
 	if s.Permutations < 0 {
-		return core.Metric{}, fmt.Errorf("%w: negative permutation count", ErrBadInput)
+		return fmt.Errorf("%w: negative permutation count", ErrBadInput)
 	}
 	if s.Method == "" {
 		s.Method = MethodWY
@@ -165,104 +172,79 @@ func (e *Engine) validateSignificance(s *SignificanceSpec) (core.Metric, error) 
 		} else if s.Permutations == 0 {
 			s.Permutations = permtest.DefaultPermutations
 		}
-		if max := e.maxPermutations(); s.Permutations > max {
-			return core.Metric{}, fmt.Errorf("%w: %d permutations over the limit %d", ErrBadInput, s.Permutations, max)
+		if max := orDefault(e.cfg.MaxPermutations, 100000); s.Permutations > max {
+			return fmt.Errorf("%w: %d permutations over the limit %d", ErrBadInput, s.Permutations, max)
 		}
 	default:
-		return core.Metric{}, fmt.Errorf("%w: unknown significance method %q", ErrBadInput, s.Method)
+		return fmt.Errorf("%w: unknown significance method %q", ErrBadInput, s.Method)
 	}
-	if s.Metric == "" {
-		s.Metric = "ER"
-	}
-	m, err := core.MetricByName(s.Metric)
-	if err != nil {
-		return core.Metric{}, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	s.Metric = m.Name
-	return m, nil
-}
-
-// maxPermutations returns the configured permutation-count ceiling.
-func (e *Engine) maxPermutations() int {
-	if e.cfg.MaxPermutations > 0 {
-		return e.cfg.MaxPermutations
-	}
-	return 100000
+	_, err := normalizeMetric(&s.Metric)
+	return err
 }
 
 // Significance answers one significance query synchronously, consulting
 // the outcome cache first.
 func (e *Engine) Significance(ctx context.Context, spec SignificanceSpec) (*SignificanceOutcome, error) {
-	return e.significance(ctx, spec, nil)
+	return syncDo[*SignificanceOutcome](ctx, e, &spec)
 }
 
-// significance is the shared sync/async implementation; tr may be nil.
-func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tracker) (*SignificanceOutcome, error) {
-	m, err := e.validateSignificance(&spec)
+// run mines (or reuses) the lattice and applies the spec's
+// multiple-testing procedure; with a tracker, permutation progress
+// streams through it. Outcomes are deterministic given the spec, so
+// every one is cached.
+func (s *SignificanceSpec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	m, err := core.MetricByName(s.Metric)
 	if err != nil {
-		return nil, err
+		return nil, false, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	e.sigQueries.Add(1)
-	key := spec.CacheKey()
-	e.sigMu.Lock()
-	if v, ok := e.sigCache.get(key); ok {
-		e.sigMu.Unlock()
-		out := *v.(*SignificanceOutcome)
-		out.CacheHit = true
-		return &out, nil
-	}
-	e.sigMu.Unlock()
-
 	// The mined lattice is shared with the analysis tier through the
 	// result cache: a significance query after an /analyze of the same
 	// dataset re-mines nothing.
-	jspec := Spec{
-		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
-		Support: spec.Support, Metrics: []string{m.Name},
-	}
-	res, _, err := e.analyzeCached(ctx, jspec, nil)
+	res, err := syncDo[*core.Result](ctx, e, &Spec{
+		Dataset: s.Dataset, TruthCol: s.TruthCol, PredCol: s.PredCol,
+		Support: s.Support, Metrics: []string{m.Name},
+	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	rate := res.GlobalRate(m)
 	if math.IsNaN(rate) {
-		return nil, fmt.Errorf("%w: metric %s undefined on the whole dataset", ErrBadInput, m.Name)
+		return nil, false, fmt.Errorf("%w: metric %s undefined on the whole dataset", ErrBadInput, m.Name)
 	}
-	e.sigRuns.Add(1)
 
 	out := &SignificanceOutcome{
 		Metric:     m.Name,
-		Method:     spec.Method,
-		Alpha:      spec.Alpha,
+		Method:     s.Method,
+		Alpha:      s.Alpha,
 		Hypotheses: len(res.RankAll(m, core.ByAbsDivergence)),
 		GlobalRate: rate,
 	}
 	var sig []core.Significant
-	if spec.Method == MethodBH {
-		sig = res.SignificantPatterns(m, spec.Alpha, core.ByAbsDivergence)
+	if s.Method == MethodBH {
+		sig = res.SignificantPatterns(m, s.Alpha, core.ByAbsDivergence)
 	} else {
 		cfg := permtest.Config{
-			Permutations: spec.Permutations,
-			Seed:         spec.Seed,
-			Exhaustive:   spec.Exhaustive,
+			Permutations: s.Permutations,
+			Seed:         s.Seed,
+			Exhaustive:   s.Exhaustive,
 		}
 		if tr != nil {
 			cfg.Progress = tr.Progress
 		}
-		if spec.Method == MethodWY {
-			sig, err = res.SignificantPatternsWY(ctx, m, spec.Alpha, core.ByAbsDivergence, cfg)
+		if s.Method == MethodWY {
+			sig, err = res.SignificantPatternsWY(ctx, m, s.Alpha, core.ByAbsDivergence, cfg)
 		} else {
-			sig, err = res.SignificantPatternsPermFDR(ctx, m, spec.Alpha, core.ByAbsDivergence, cfg)
+			sig, err = res.SignificantPatternsPermFDR(ctx, m, s.Alpha, core.ByAbsDivergence, cfg)
 		}
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, err
+				return nil, false, err
 			}
-			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+			return nil, false, fmt.Errorf("%w: %v", ErrBadInput, err)
 		}
-		out.Exhaustive = spec.Exhaustive
-		out.Permutations = spec.Permutations
-		if spec.Exhaustive {
+		out.Exhaustive = s.Exhaustive
+		out.Permutations = s.Permutations
+		if s.Exhaustive {
 			out.Permutations = 1
 			for i := 2; i <= res.DB.NumRows(); i++ {
 				out.Permutations *= i
@@ -272,22 +254,22 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 	}
 
 	out.Rejected = len(sig)
-	if len(sig) > spec.TopK {
-		sig = sig[:spec.TopK]
+	if len(sig) > s.TopK {
+		sig = sig[:s.TopK]
 	}
 	out.Top = make([]SignificantPattern, 0, len(sig))
-	for _, s := range sig {
+	for _, sg := range sig {
 		sp := SignificantPattern{
-			Items:      itemNameList(res.DB.Catalog, s.Items),
-			Support:    s.Support,
-			Rate:       s.Rate,
-			Divergence: s.Divergence,
-			T:          s.T,
-			P:          s.P,
-			AdjP:       s.AdjP,
+			Items:      itemNameList(res.DB.Catalog, sg.Items),
+			Support:    sg.Support,
+			Rate:       sg.Rate,
+			Divergence: sg.Divergence,
+			T:          sg.T,
+			P:          sg.P,
+			AdjP:       sg.AdjP,
 		}
-		if spec.Baseline && len(s.Items) > 0 {
-			if mb, err := res.MaxEntBaselineOf(s.Items); err == nil {
+		if s.Baseline && len(sg.Items) > 0 {
+			if mb, err := res.MaxEntBaselineOf(sg.Items); err == nil {
 				sp.MaxEnt = &MaxEntInfo{
 					ExpectedSupport: mb.ExpectedSupport,
 					Observed:        mb.Observed,
@@ -318,44 +300,16 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 		})
 	}
 
-	e.sigMu.Lock()
-	e.sigCache.put(key, out)
-	e.sigMu.Unlock()
-	return out, nil
+	return out, true, nil
 }
 
 // SignificanceStatsSnapshot returns the significance-tier counters.
 func (e *Engine) SignificanceStatsSnapshot() SignificanceStats {
-	e.sigMu.Lock()
-	defer e.sigMu.Unlock()
+	t := e.tiers[KindSignificance]
 	return SignificanceStats{
-		Queries:      e.sigQueries.Load(),
-		Runs:         e.sigRuns.Load(),
+		Queries:      t.queries.Load(),
+		Runs:         t.runs.Load(),
 		Permutations: e.sigPerms.Load(),
-		Cache:        e.sigCache.stats(),
+		Cache:        t.cache.stats(),
 	}
-}
-
-// SubmitSignificance enqueues a significance query as an asynchronous
-// job: it runs on the worker pool, streams permutation progress through
-// the job's progress counters, and finishes with a final snapshot whose
-// Reason is "complete". The job's Result() is never populated; the
-// outcome is read with Job.Significance().
-func (e *Engine) SubmitSignificance(spec SignificanceSpec) (*Job, error) {
-	if _, err := e.validateSignificance(&spec); err != nil {
-		return nil, err
-	}
-	id, err := newJobID()
-	if err != nil {
-		return nil, err
-	}
-	// The synthesized Spec keeps the WAL records and status endpoints
-	// meaningful for significance jobs.
-	jspec := Spec{
-		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
-		Support: spec.Support, Metrics: []string{spec.Metric}, TopK: spec.TopK,
-		Alpha: spec.Alpha,
-	}
-	job := &Job{id: id, spec: jspec, sig: &spec, state: StateQueued, created: time.Now()}
-	return e.enqueue(job, false)
 }

@@ -120,13 +120,17 @@ type Tracker struct {
 	lastPersist time.Time
 }
 
-// Progress records mining-subproblem completion counts on the job. It
-// has the signature fpm.Parallel.Progress expects.
+// Progress records completion counts on the job — mining subproblems or
+// permutations. It has the signature fpm.Parallel.Progress and
+// permtest.Config.Progress expect. Parallel workers may report out of
+// order, so the done count only ever moves forward.
 func (t *Tracker) Progress(done, total int) {
 	if t == nil || t.job == nil {
 		return
 	}
-	t.job.progressDone.Store(int64(done))
+	p := &t.job.progressDone
+	for cur := p.Load(); int64(done) > cur && !p.CompareAndSwap(cur, int64(done)); cur = p.Load() {
+	}
 	t.job.progressTotal.Store(int64(total))
 }
 
@@ -134,7 +138,11 @@ func (t *Tracker) Progress(done, total int) {
 // the next sequence number, made visible to pollers immediately, and
 // written through to the store at the configured cadence (terminal
 // persistence is the engine's job, so a rate-limited snapshot lost in a
-// crash costs only staleness, never correctness).
+// crash costs only staleness, never correctness). Concurrent callers
+// stamp in one order but may publish in another, so a snapshot never
+// replaces one with a higher sequence number, and recovery keeps the
+// highest one logged: pollers and restarts only see the job move
+// forward.
 func (t *Tracker) Partial(snap Snapshot) {
 	if t == nil || t.job == nil {
 		return
@@ -150,7 +158,9 @@ func (t *Tracker) Partial(snap Snapshot) {
 	}
 	t.mu.Unlock()
 
-	t.job.partial.Store(&snap)
+	p := &t.job.partial
+	for cur := p.Load(); (cur == nil || cur.Seq < snap.Seq) && !p.CompareAndSwap(cur, &snap); cur = p.Load() {
+	}
 	if due {
 		t.persist(&snap)
 	}

@@ -54,24 +54,36 @@ const (
 //   - v2: done records additionally carry the job's Spec — the dataset
 //     content hash plus every mining parameter — making each one a
 //     self-contained recipe for re-mining the full result after a
-//     restart (Engine.Rehydrate). v1 logs replay unchanged: their done
-//     records have no spec, so those jobs fold to summary-only exactly
-//     as before, and unknown future record types are skipped.
-const storeVersion = 2
+//     restart (Engine.Rehydrate).
+//   - v3: records carry the job's kind. Analysis records are unchanged
+//     from v2 (an empty kind means analysis). Explore and significance
+//     records carry the kind's validated input JSON in place of a Spec,
+//     and their done records the exact outcome JSON, which recovery and
+//     adoption reinstall as-is — a budget-cut exploration cannot be
+//     re-run to the same answer.
+//
+// Older logs replay unchanged: v1 done records have no spec, so those
+// jobs fold to summary-only; v1 and v2 records have no kind, so they
+// fold as analyses; unknown future record types and kinds are skipped.
+const storeVersion = 3
 
-// Record is one write-ahead log entry. Spec is set on submitted records
-// and (since v2) on done records; at most one of Snapshot and Result is
-// set, depending on Type.
+// Record is one write-ahead log entry. An analysis sets Spec on
+// submitted records and (since v2) on done records, which also carry
+// the durable Result summary; other kinds set Kind and Input instead,
+// and Outcome on done records. Snapshot is set on snapshot records only.
 type Record struct {
-	V        int            `json:"v"`
-	Type     string         `json:"type"`
-	Job      string         `json:"job"`
-	Time     time.Time      `json:"time"`
-	Spec     *Spec          `json:"spec,omitempty"`
-	Snapshot *Snapshot      `json:"snapshot,omitempty"`
-	Result   *ResultSummary `json:"result,omitempty"`
-	Error    string         `json:"error,omitempty"`
-	CacheHit bool           `json:"cache_hit,omitempty"`
+	V        int             `json:"v"`
+	Type     string          `json:"type"`
+	Job      string          `json:"job"`
+	Time     time.Time       `json:"time"`
+	Kind     Kind            `json:"kind,omitempty"`
+	Spec     *Spec           `json:"spec,omitempty"`
+	Input    json.RawMessage `json:"input,omitempty"`
+	Snapshot *Snapshot       `json:"snapshot,omitempty"`
+	Result   *ResultSummary  `json:"result,omitempty"`
+	Outcome  json.RawMessage `json:"outcome,omitempty"`
+	Error    string          `json:"error,omitempty"`
+	CacheHit bool            `json:"cache_hit,omitempty"`
 	// Monitor carries the validated monitor spec on monitor_created
 	// records (opaque to this package; owned by internal/monitor).
 	Monitor json.RawMessage `json:"monitor,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -305,7 +306,9 @@ func TestExhaustiveRejectsLargeN(t *testing.T) {
 func TestProgressReachesTotal(t *testing.T) {
 	db := nullDB(t, 7, 40, 3, 2)
 	e := newEngine(t, db, mine(t, db, 2))
-	var last int64
+	// Progress is called concurrently from the workers, in no particular
+	// order: keep the maximum reported, atomically.
+	var last atomic.Int64
 	res, err := e.Run(context.Background(), Config{
 		Permutations: 64,
 		Workers:      3,
@@ -313,13 +316,14 @@ func TestProgressReachesTotal(t *testing.T) {
 			if total != 64 {
 				t.Errorf("progress total %d want 64", total)
 			}
-			last = int64(done)
+			for cur := last.Load(); int64(done) > cur && !last.CompareAndSwap(cur, int64(done)); cur = last.Load() {
+			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Permutations != 64 || last != 64 {
-		t.Fatalf("final progress %d want 64", last)
+	if res.Permutations != 64 || last.Load() != 64 {
+		t.Fatalf("final progress %d want 64", last.Load())
 	}
 }

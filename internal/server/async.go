@@ -44,6 +44,7 @@ type progressJSON struct {
 
 type jobJSON struct {
 	ID         string        `json:"id"`
+	Kind       string        `json:"kind"`
 	State      string        `json:"state"`
 	Dataset    string        `json:"dataset"`
 	Error      string        `json:"error,omitempty"`
@@ -61,6 +62,7 @@ type jobJSON struct {
 func jobToJSON(st jobs.Status) jobJSON {
 	j := jobJSON{
 		ID:        st.ID,
+		Kind:      string(st.Kind),
 		State:     st.State.String(),
 		Dataset:   string(st.Spec.Dataset),
 		Error:     st.Err,
@@ -220,7 +222,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, ack)
 		return
 	}
-	job, err := s.submitLocal(id, spec, bytes)
+	job, err := s.submitLocal(id, spec.Tenant, bytes, func() (*jobs.Job, error) {
+		return s.engine.SubmitAdopted(id, spec)
+	})
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -256,13 +260,16 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, msg)
 		return
 	}
-	// An explore or significance job's outcome is its result; neither has
-	// the full analysis payload the ladder below serves.
-	if out, xerr := job.Explore(); xerr == nil {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	if out, serr := job.Significance(); serr == nil {
+	if st.Kind != jobs.KindAnalysis {
+		// An explore or significance outcome is its own wire format, logged
+		// whole and reinstalled exactly by recovery and adoption; only an
+		// analysis walks the degradation ladder below.
+		out, err := job.Outcome()
+		if err != nil {
+			s.gone.Add(1)
+			writeError(w, http.StatusGone, err.Error())
+			return
+		}
 		writeJSON(w, http.StatusOK, out)
 		return
 	}

@@ -97,7 +97,9 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 	} else if entry, ok := s.reg.Get(spec.Dataset); ok {
 		bytes = entry.Bytes
 	}
-	job, err := s.submitLocal(req.ID, spec, bytes)
+	job, err := s.submitLocal(req.ID, spec.Tenant, bytes, func() (*jobs.Job, error) {
+		return s.engine.SubmitAdopted(req.ID, spec)
+	})
 	if err != nil {
 		if isRejection(err) {
 			// Definitive refusal: the forwarder must not hedge one
@@ -108,7 +110,7 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 	}
 	// Hand the accepted record to the dataset's other owners so one of
 	// them can adopt the job if this node dies mid-mine.
-	s.replicateJobRecord(job)
+	s.replicateJob(job)
 	return s.ackOf(job), nil
 }
 
@@ -135,45 +137,21 @@ func (cl clusterLocal) StoreReplica(origin cluster.NodeID, kind, key string, dat
 	return nil
 }
 
-// jobReplicaPayload is the serving-layer payload inside a replicated
-// cluster.JobRecord: the spec to (re-)run, the terminal state when the
-// record marks completion, and the durable summary for done jobs.
-type jobReplicaPayload struct {
-	Spec    jobs.Spec           `json:"spec"`
-	State   string              `json:"state,omitempty"`
-	Summary *jobs.ResultSummary `json:"summary,omitempty"`
-}
-
-// AdoptJob re-homes one job record from a dead peer. In-flight records
-// re-run the job here under its original ID; done records install the
-// durable summary with the full result re-mining lazily through the
-// rehydrate path; failed and canceled records need nothing — the job
-// finished, there is just nothing left to serve.
+// AdoptJob re-homes one job from a dead peer: the envelope's payload is
+// the origin's jobs.Record, folded by Engine.Adopt as recovery folds it.
+// Adoption bypasses admission: the origin already admitted the tenant,
+// and failover must not re-reject accepted work.
 func (cl clusterLocal) AdoptJob(origin cluster.NodeID, record []byte) error {
-	s := cl.s
-	var rec cluster.JobRecord
-	if err := json.Unmarshal(record, &rec); err != nil {
+	var env cluster.JobRecord
+	if err := json.Unmarshal(record, &env); err != nil {
 		return fmt.Errorf("server: bad adopted record from %s: %w", origin, err)
 	}
-	var pl jobReplicaPayload
-	if err := json.Unmarshal(rec.Payload, &pl); err != nil {
-		return fmt.Errorf("server: bad adopted payload for job %s: %w", rec.ID, err)
+	var rec jobs.Record
+	if err := json.Unmarshal(env.Payload, &rec); err != nil {
+		return fmt.Errorf("server: bad adopted payload for job %s: %w", env.ID, err)
 	}
-	if pl.Spec.Dataset == "" {
-		pl.Spec.Dataset = registry.Hash(rec.Dataset)
-	}
-	switch {
-	case !rec.Done:
-		// Adoption bypasses admission: the origin already admitted the
-		// tenant, and failover must not re-reject accepted work.
-		_, err := s.engine.SubmitAdopted(rec.ID, pl.Spec)
-		return err
-	case pl.State == jobs.StateDone.String() && pl.Summary != nil:
-		_, err := s.engine.AdoptDone(rec.ID, pl.Spec, pl.Summary)
-		return err
-	default:
-		return nil
-	}
+	_, err := cl.s.engine.Adopt(rec)
+	return err
 }
 
 // ackOf snapshots a job as the cluster acknowledgement shape.
@@ -185,20 +163,43 @@ func (s *Server) ackOf(j *jobs.Job) cluster.JobAck {
 	return ack
 }
 
-// submitLocal is the shared local submission path: admit the tenant,
-// then enqueue under a pre-minted ID so hedged duplicates merge. The
-// grant is released on enqueue failure and otherwise at terminal time
+// submitLocal is the shared local submission path for every job kind:
+// admit the tenant under the pre-minted job ID, then enqueue through
+// submit (under that ID, so hedged duplicates merge). The grant is
+// released on enqueue failure and otherwise at terminal time
 // (jobTerminal).
-func (s *Server) submitLocal(id string, spec jobs.Spec, bytes int64) (*jobs.Job, error) {
-	if err := s.admitJob(id, spec.Tenant, bytes); err != nil {
+func (s *Server) submitLocal(id, tenant string, bytes int64, submit func() (*jobs.Job, error)) (*jobs.Job, error) {
+	if err := s.admitJob(id, tenant, bytes); err != nil {
 		return nil, err
 	}
-	job, err := s.engine.SubmitAdopted(id, spec)
+	job, err := submit()
 	if err != nil {
 		s.releaseJob(id)
 		return nil, err
 	}
 	return job, nil
+}
+
+// submitAsync answers an "async": true explore or significance request:
+// the job takes the common path — admission under the request's tenant
+// through submitLocal, submission errors through writeSubmitError — and
+// the 202 carries the job document.
+func (s *Server) submitAsync(w http.ResponseWriter, tenant string, ds registry.Hash, submit func(id string) (*jobs.Job, error)) {
+	id, err := jobs.NewID()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	var bytes int64
+	if entry, ok := s.reg.Get(ds); ok {
+		bytes = entry.Bytes
+	}
+	job, err := s.submitLocal(id, tenant, bytes, func() (*jobs.Job, error) { return submit(id) })
+	if err != nil {
+		writeSubmitError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
 }
 
 // admittedJob records one admission grant for release at terminal time.
@@ -251,49 +252,30 @@ func (s *Server) releaseJob(id string) {
 
 // jobTerminal is the engine's OnTerminal hook: release the admission
 // grant and replicate the terminal record to the dataset's other
-// owners, so an adopter knows the job needs no re-run (done records
-// additionally carry the summary and the re-mine recipe).
+// owners, so an adopter knows the job needs no re-run.
 func (s *Server) jobTerminal(j *jobs.Job) {
 	s.releaseJob(j.ID())
-	s.replicateTerminalRecord(j)
+	s.replicateJob(j)
 }
 
-// replicateJobRecord pushes a freshly accepted job's record to the
-// dataset's other owners, in the background — replication is an
-// availability optimization and must not sit on the submit path.
-func (s *Server) replicateJobRecord(j *jobs.Job) {
+// replicateJob pushes the job's current record (jobs.Job.Record) to the
+// dataset's other owners in the background, so one of them can adopt
+// the job if this node dies: on accept the submitted record, at the end
+// the terminal one (failed and canceled records keep replicas from
+// resurrecting the job).
+func (s *Server) replicateJob(j *jobs.Job) {
 	n := s.cluster
 	if n == nil {
 		return
 	}
-	spec := j.Spec()
-	payload, err := json.Marshal(jobReplicaPayload{Spec: spec})
+	rec := j.Record()
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
-	s.replicateRecord(n, cluster.JobRecord{ID: j.ID(), Dataset: string(spec.Dataset), Payload: payload})
-}
-
-// replicateTerminalRecord pushes a terminal job record to the dataset's
-// other owners. Done jobs carry the durable summary (immediately
-// servable on the adopter) and the spec (the lazy re-mine recipe);
-// failed and canceled jobs replicate a bare terminal marker so replicas
-// do not resurrect them after this node dies.
-func (s *Server) replicateTerminalRecord(j *jobs.Job) {
-	n := s.cluster
-	if n == nil {
-		return
-	}
-	st := j.Snapshot()
-	pl := jobReplicaPayload{Spec: st.Spec, State: st.State.String()}
-	if st.State == jobs.StateDone {
-		pl.Summary = j.Summary()
-	}
-	payload, err := json.Marshal(pl)
-	if err != nil {
-		return
-	}
-	s.replicateRecord(n, cluster.JobRecord{ID: j.ID(), Dataset: string(st.Spec.Dataset), Done: true, Payload: payload})
+	s.replicateRecord(n, cluster.JobRecord{
+		ID: j.ID(), Dataset: string(j.Spec().Dataset), Done: rec.Type != jobs.RecSubmitted, Payload: payload,
+	})
 }
 
 // lint:ignore ctxflow replication outlives the request that triggered it; the fan-out is bounded by its own timeout, not the caller's
@@ -339,8 +321,9 @@ func retryAfterSeconds(d time.Duration) string {
 // writeSubmitError maps job-submission failures — local or forwarded —
 // to HTTP statuses: admission denials and full queues are 429 with
 // Retry-After (the explicit backpressure contract), a draining engine
-// is 503, a definitive peer rejection surfaces as 429 so clients back
-// off, and an unreachable replica set is 502.
+// is 503, a dataset evicted since the request's check is 404 and an
+// input the engine rejects is 400, a definitive peer rejection surfaces
+// as 429 so clients back off, and an unreachable replica set is 502.
 func writeSubmitError(w http.ResponseWriter, err error) {
 	var denied *admission.Denied
 	switch {
@@ -352,6 +335,10 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, jobs.ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, jobs.ErrDatasetGone):
+		writeError(w, http.StatusNotFound, err.Error())
+	case errors.Is(err, jobs.ErrBadInput):
+		writeError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, cluster.ErrPeerRejected):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err.Error())
@@ -397,25 +384,15 @@ func (s *Server) handleForwardedJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ack, err := s.cluster.HandleForwardJob(r.Context(), req)
-	if err != nil {
-		var denied *admission.Denied
-		switch {
-		case errors.As(err, &denied):
-			w.Header().Set("Retry-After", retryAfterSeconds(denied.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, jobs.ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, cluster.ErrPeerRejected):
-			writeError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
+	switch {
+	case errors.Is(err, cluster.ErrPeerRejected) && !isRejection(err):
+		// A malformed forward: definitive, but no reason to back off.
+		writeError(w, http.StatusBadRequest, err.Error())
+	case err != nil:
+		writeSubmitError(w, err)
+	default:
+		writeJSON(w, http.StatusOK, ack)
 	}
-	writeJSON(w, http.StatusOK, ack)
 }
 
 // handleReplicate implements POST /internal/replicate: one chunk of a
@@ -449,7 +426,9 @@ func NewFairJobQueue(capacity int, ctrl *admission.Controller) jobs.Queue {
 }
 
 // fairJobQueue adapts admission.FairQueue to the engine's Queue seam.
-type fairJobQueue struct{ q *admission.FairQueue[*jobs.Job] }
+type fairJobQueue struct {
+	q *admission.FairQueue[*jobs.Job]
+}
 
 func (f fairJobQueue) Push(j *jobs.Job) bool  { return f.q.Push(j.Spec().Tenant, j) }
 func (f fairJobQueue) Pop() (*jobs.Job, bool) { return f.q.Pop() }

@@ -47,6 +47,21 @@ type expandBody struct {
 	Attr    string   `json:"attr"`
 }
 
+// decodeBody strictly decodes the JSON body of a POST to the named
+// endpoint into v: unknown fields are errors, and so is a trailing
+// second JSON value — a malformed request, not extra data to ignore.
+func decodeBody(body []byte, endpoint string, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad %s body: %w", endpoint, err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return fmt.Errorf("bad %s body: trailing data after the JSON object", endpoint)
+	}
+	return nil
+}
+
 // exploreRequest is the parsed form: exactly one of spec (mine) or
 // expand (navigate) is acted on; async only applies to the mine path.
 type exploreRequest struct {
@@ -63,16 +78,9 @@ type exploreRequest struct {
 // engine so the two entry points cannot drift.
 func parseExploreBody(body []byte) (exploreRequest, error) {
 	var req exploreRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var b exploreBody
-	if err := dec.Decode(&b); err != nil {
-		return req, fmt.Errorf("bad explore body: %w", err)
-	}
-	// A trailing second JSON value is a malformed request, not extra data
-	// to silently ignore.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return req, errors.New("bad explore body: trailing data after the JSON object")
+	if err := decodeBody(body, "explore", &b); err != nil {
+		return req, err
 	}
 	if b.Dataset == "" {
 		return req, errors.New("missing dataset hash (register the CSV via POST /datasets first)")
@@ -158,49 +166,26 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 	if req.expand != nil {
 		out, err := s.engine.Expand(*req.expand)
-		if err != nil {
-			s.writeExploreError(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, out)
+		s.writeOutcome(w, r, out, err)
 		return
 	}
 	if req.async {
-		job, err := s.engine.SubmitExplore(req.spec)
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, jobs.ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		case err != nil:
-			s.writeExploreError(w, r, err)
-		default:
-			writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
-		}
+		req.spec.Tenant = tenantOf(r)
+		s.submitAsync(w, req.spec.Tenant, req.spec.Dataset, func(id string) (*jobs.Job, error) {
+			return s.engine.SubmitAs(id, &req.spec)
+		})
 		return
 	}
 	out, err := s.engine.Explore(r.Context(), req.spec)
+	s.writeOutcome(w, r, out, err)
+}
+
+// writeOutcome answers a synchronous explore, expand or significance
+// query: its outcome, or the error mapped by writeQueryError.
+func (s *Server) writeOutcome(w http.ResponseWriter, r *http.Request, out any, err error) {
 	if err != nil {
-		s.writeExploreError(w, r, err)
+		writeQueryError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// writeExploreError maps explore/expand failures to HTTP statuses. The
-// dataset existing at the registry pre-check but being evicted before
-// the engine pinned it is a 404, not a 400 — the client's request was
-// well-formed.
-func (s *Server) writeExploreError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, jobs.ErrDatasetGone):
-		writeError(w, http.StatusNotFound, err.Error())
-	case errors.Is(err, jobs.ErrBadInput):
-		writeError(w, http.StatusBadRequest, err.Error())
-	case r.Context().Err() != nil:
-		writeError(w, 499, err.Error())
-	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
-	}
 }

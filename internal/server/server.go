@@ -470,19 +470,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.engine.Analyze(r.Context(), req.spec(entry.Hash))
 	if err != nil {
-		s.writeAnalysisError(w, r, err)
+		writeQueryError(w, r, err)
 		return
 	}
 	s.render(w, res, req)
 }
 
-// writeAnalysisError maps analysis failures to HTTP statuses.
-func (s *Server) writeAnalysisError(w http.ResponseWriter, r *http.Request, err error) {
+// writeQueryError maps the failure of a synchronous query (analyze,
+// explore, expand, significance) to an HTTP status. A dataset that was
+// resident at the request's registry check but evicted before the
+// engine pinned it is a 404, not a 400 — the request was well-formed.
+func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
+	case errors.Is(err, jobs.ErrDatasetGone):
+		writeError(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, jobs.ErrBadInput):
 		writeError(w, http.StatusBadRequest, err.Error())
 	case r.Context().Err() != nil:
-		// Client went away mid-mine; the status is for the log only.
+		// Client went away mid-query; the status is for the log only.
 		writeError(w, 499, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())

@@ -21,6 +21,13 @@
 #                                  shutdown interleavings are
 #                                  timing-sensitive, so extra runs buy
 #                                  extra schedules
+#   5b. telemetry-ordering tier    partial snapshots and progress
+#                                  published from parallel mining and
+#                                  permutation workers only move
+#                                  forward, live and after recovery:
+#                                  the ordering tests 200 times, and
+#                                  the permutation progress test 20
+#                                  times under -race
 #   6. fault-injection tier        the disk-facing subsystems (faultfs
 #                                  injector, registry spill tier, WAL
 #                                  chaos tests, spill e2e) once more
@@ -100,6 +107,10 @@ go test -race ./...
 
 echo "==> registry-race tier (sharded registry + durable jobs, -count=2)"
 go test -race -count=2 ./internal/registry/... ./internal/jobs/... ./internal/server/...
+
+echo "==> telemetry-ordering tier (snapshot seq + progress monotone under parallel workers)"
+go test -count=200 -run 'TestRecoverReattachesPartialSnapshot|TestPartialSeqMonotoneUnderParallelMining' ./internal/jobs
+go test -race -count=20 -run TestProgressReachesTotal ./internal/permtest
 
 echo "==> fault-injection tier (seed ${DIVEX_FAULT_SEED:-1})"
 DIVEX_FAULT_SEED="${DIVEX_FAULT_SEED:-1}" \
