@@ -241,13 +241,13 @@ func (r *Result) RankAll(m Metric, order RankOrder) []Ranked {
 		}
 	}
 	sort.Slice(rs, func(i, j int) bool {
-		return lessRankedBy(rs[i], rs[j], order)
+		return lessRankedBy(&rs[i], &rs[j], order)
 	})
 	return rs
 }
 
 // rankKeyOf is the primary sort key of a Ranked pattern under an order.
-func rankKeyOf(x Ranked, order RankOrder) float64 {
+func rankKeyOf(x *Ranked, order RankOrder) float64 {
 	switch order {
 	case ByAbsDivergence:
 		return math.Abs(x.Divergence)
@@ -258,11 +258,13 @@ func rankKeyOf(x Ranked, order RankOrder) float64 {
 	}
 }
 
-// lessRankedBy is the ranking comparator shared by every API that
-// reports patterns in ranking order: key descending, then higher
-// t-statistic, then higher support, then lexicographic itemset order,
-// for determinism.
-func lessRankedBy(a, b Ranked, order RankOrder) bool {
+// lessRankedBy is core's one ranking order, shared by every API that
+// reports patterns in ranking order and by the streaming Leaderboard:
+// key descending, then higher t-statistic, then higher support, then
+// lexicographic itemset order. It is total over distinct itemsets, so
+// the top-k set under it is unique no matter what order candidates
+// arrive in.
+func lessRankedBy(a, b *Ranked, order RankOrder) bool {
 	ka, kb := rankKeyOf(a, order), rankKeyOf(b, order)
 	// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
 	if ka != kb {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -15,7 +14,7 @@ import (
 // O(k) memory, with two guarantees the tests pin down:
 //
 //   - At unlimited budget the answer is byte-identical to the exhaustive
-//     Result.TopK. That requires the streaming heap to use the SAME
+//     Result.TopK. That holds because the Leaderboard ranks by the SAME
 //     total order RankAll sorts by (key desc, then Welch t desc, then
 //     support desc, then lexicographic itemset), not just the ranking
 //     key — under a total order the top-k set is unique, so visit order
@@ -35,8 +34,7 @@ const DefaultConfidence = 0.95
 const defaultUpdateEvery = 4096
 
 // AnytimeOptions configures ExploreTopKAnytime. The zero value is an
-// unbudgeted, unsampled run — exactly ExploreTopK with a stronger
-// ordering guarantee.
+// unbudgeted, unsampled run — exactly ExploreTopK.
 type AnytimeOptions struct {
 	// Budget bounds the mine (deadline and/or pattern count); zero means
 	// run to exhaustion.
@@ -95,79 +93,6 @@ type AnytimeTopK struct {
 // Partial reports whether the result might be missing patterns.
 func (a *AnytimeTopK) Partial() bool { return a.Reason.Partial() }
 
-// orderKey returns the scalar ranking key for a divergence under an
-// order.
-func orderKey(order RankOrder, div float64) float64 {
-	switch order {
-	case ByAbsDivergence:
-		return math.Abs(div)
-	case ByNegDivergence:
-		return -div
-	default:
-		return div
-	}
-}
-
-// rankedBetter is the total order shared by RankAll's sort and the
-// anytime heap: ranking key descending, then Welch t descending, then
-// support descending, then lexicographic itemset. Because it is total,
-// the top-k set under it is unique no matter what order candidates
-// arrive in.
-func rankedBetter(a, b *Ranked, order RankOrder) bool {
-	ka, kb := orderKey(order, a.Divergence), orderKey(order, b.Divergence)
-	// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
-	if ka != kb {
-		return ka > kb
-	}
-	// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
-	if a.T != b.T {
-		return a.T > b.T
-	}
-	// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
-	if a.Support != b.Support {
-		return a.Support > b.Support
-	}
-	return lessItemsets(a.Items, b.Items)
-}
-
-// estimateHeap is a min-heap under rankedBetter: the weakest kept
-// pattern sits at the root, so a stronger candidate replaces it in
-// O(log k).
-type estimateHeap struct {
-	items []RankedEstimate
-	order RankOrder
-}
-
-func (h *estimateHeap) Len() int { return len(h.items) }
-func (h *estimateHeap) Less(i, j int) bool {
-	return rankedBetter(&h.items[j].Ranked, &h.items[i].Ranked, h.order)
-}
-func (h *estimateHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *estimateHeap) Push(x interface{}) {
-	h.items = append(h.items, x.(RankedEstimate))
-}
-func (h *estimateHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// sorted returns the heap contents in descending rank order without
-// disturbing the heap.
-func (h *estimateHeap) sorted() []RankedEstimate {
-	out := append([]RankedEstimate(nil), h.items...)
-	// Insertion sort: k is interactive-small and the heap is nearly
-	// ordered already.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && rankedBetter(&out[j].Ranked, &out[j-1].Ranked, h.order); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // ExploreTopKAnytime streams a (possibly budgeted, possibly sampled)
 // mine and keeps the k most divergent patterns under the metric.
 //
@@ -181,12 +106,6 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	if minSup < 0 || minSup > 1 {
 		return nil, fmt.Errorf("core: support threshold %v out of [0,1]", minSup)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k %d < 1", k)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
 	conf := opts.Confidence
 	// lint:ignore floatcmp the zero value is the explicit "use the default" sentinel
 	if conf == 0 {
@@ -195,13 +114,6 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	if conf <= 0 || conf >= 1 {
 		return nil, fmt.Errorf("core: confidence %v out of (0,1)", conf)
 	}
-
-	total := db.TotalTally()
-	globalRate := rateOf(total, m)
-	if math.IsNaN(globalRate) {
-		return nil, fmt.Errorf("core: metric %s undefined on the whole dataset", m.Name)
-	}
-	globalPost := posteriorOf(total, m)
 
 	mdb := db
 	sampled := false
@@ -213,47 +125,34 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	if sampled {
 		supportEps = stats.HoeffdingRadius(mdb.NumRows(), conf)
 	}
+	// The global rate comes from the full dataset even when the mine
+	// runs on a sample; supports are fractions of the mined rows.
+	board, err := NewLeaderboard(m, db.TotalTally(), mdb.NumRows(), k, order)
+	if err != nil {
+		return nil, err
+	}
 	minCount := fpm.MinCount(mdb.NumRows(), minSup)
-	rows := float64(mdb.NumRows())
+	annotateAll := func(top []Ranked) []RankedEstimate {
+		out := make([]RankedEstimate, len(top))
+		for i := range top {
+			out[i] = annotate(top[i], sampled, conf, supportEps, board.globalRate, m)
+		}
+		return out
+	}
 
 	updateEvery := opts.UpdateEvery
 	if updateEvery <= 0 {
 		updateEvery = defaultUpdateEvery
 	}
 
-	h := &estimateHeap{order: order}
 	var seen int64
 	info, err := fpm.FPGrowth{}.MineAnytimeVisit(mdb, minCount, opts.Budget, func(p fpm.FrequentPattern) error {
 		seen++
 		if opts.OnUpdate != nil && seen%updateEvery == 0 {
-			opts.OnUpdate(h.sorted(), seen)
+			opts.OnUpdate(annotateAll(board.Top()), seen)
 		}
-		rate := rateOf(p.Tally, m)
-		if math.IsNaN(rate) {
-			return nil
-		}
-		rk := Ranked{
-			Tally:      p.Tally,
-			Support:    float64(p.Tally.Total()) / rows,
-			Rate:       rate,
-			Divergence: rate - globalRate,
-			T:          welchOf(p.Tally, m, globalPost),
-		}
-		if h.Len() == k {
-			// Full heap: only a candidate strictly better than the current
-			// weakest (under the total order) displaces it. Items is still
-			// the miner's borrowed slice here; rankedBetter only reads it.
-			rk.Items = p.Items
-			if !rankedBetter(&rk, &h.items[0].Ranked, order) {
-				return nil
-			}
-			rk.Items = p.Items.Clone()
-			h.items[0] = annotate(rk, sampled, conf, supportEps, globalRate, m)
-			heap.Fix(h, 0)
-		} else {
-			rk.Items = p.Items.Clone()
-			heap.Push(h, annotate(rk, sampled, conf, supportEps, globalRate, m))
-		}
+		// p.Items is the miner's borrowed slice; Offer clones what it keeps.
+		board.Offer(p.Items, p.Tally)
 		return nil
 	})
 	if err != nil {
@@ -261,7 +160,7 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	}
 
 	out := &AnytimeTopK{
-		Top:        h.sorted(),
+		Top:        annotateAll(board.Top()),
 		Reason:     info.Reason,
 		Visited:    info.Patterns,
 		Sampled:    sampled,

@@ -177,14 +177,14 @@ func TestAnytimeTopKOnUpdate(t *testing.T) {
 			t.Fatalf("snapshot holds %d patterns, k=5", len(snap))
 		}
 		for i := 1; i < len(snap); i++ {
-			if rankedBetter(&snap[i].Ranked, &snap[i-1].Ranked, ByAbsDivergence) {
+			if lessRankedBy(&snap[i].Ranked, &snap[i-1].Ranked, ByAbsDivergence) {
 				t.Fatal("snapshot not in descending rank order")
 			}
 		}
 	}
 	// The final answer must dominate (or equal) the last snapshot.
 	if last := snaps[len(snaps)-1]; len(last) > 0 && len(got.Top) > 0 {
-		if rankedBetter(&last[0].Ranked, &got.Top[0].Ranked, ByAbsDivergence) {
+		if lessRankedBy(&last[0].Ranked, &got.Top[0].Ranked, ByAbsDivergence) {
 			t.Fatal("final top-1 is worse than a mid-stream snapshot's")
 		}
 	}

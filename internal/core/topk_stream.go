@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -12,78 +11,142 @@ import (
 // ExploreTopK streams the mining pass and keeps only the k most
 // divergent patterns for one metric, in O(k) memory instead of
 // O(#frequent itemsets). The answer is exact — every frequent pattern is
-// still visited (completeness cannot be traded away, Sec. 5) — but the
-// full result map is never materialized, so lattice-wide analyses
-// (Shapley, global divergence, corrective items) are unavailable on the
-// output. Use it when only the leaderboard is needed on workloads like
-// german at s = 0.01, where the full result holds millions of patterns.
+// still visited (completeness cannot be traded away, Sec. 5) — and
+// equal to Result.TopK, but the full result map is never materialized,
+// so lattice-wide analyses (Shapley, global divergence, corrective
+// items) are unavailable on the output. Use it when only the
+// leaderboard is needed on workloads like german at s = 0.01, where the
+// full result holds millions of patterns. It is ExploreTopKAnytime with
+// no budget and no sampling.
 func ExploreTopK(db *fpm.TxDB, minSup float64, m Metric, k int, order RankOrder) ([]Ranked, error) {
-	if minSup < 0 || minSup > 1 {
-		return nil, fmt.Errorf("core: support threshold %v out of [0,1]", minSup)
+	a, err := ExploreTopKAnytime(db, minSup, m, k, order, AnytimeOptions{})
+	if err != nil {
+		return nil, err
 	}
+	out := make([]Ranked, len(a.Top))
+	for i := range a.Top {
+		out[i] = a.Top[i].Ranked
+	}
+	return out, nil
+}
+
+// Leaderboard keeps the k best patterns offered to it under one metric
+// and RankOrder, ranked by lessRankedBy — the order Result.TopK sorts
+// by. Because that order is total, the kept set depends only on which
+// patterns were offered, never on the order they arrived in: a
+// leaderboard fed every frequent pattern holds exactly Result.TopK.
+// It is a bounded min-heap, so the weakest kept pattern sits at the
+// root and a stronger candidate replaces it in O(log k).
+//
+// A Leaderboard is not safe for concurrent use.
+type Leaderboard struct {
+	m          Metric
+	k          int
+	order      RankOrder
+	globalRate float64
+	globalPost stats.PosteriorRate
+	rows       float64
+	heap       []Ranked // heap[0] is the weakest kept pattern
+}
+
+// NewLeaderboard returns an empty leaderboard of capacity k. Divergence
+// and the Welch t-statistic are measured against total, the tally of
+// the whole dataset; supports are counts over rows. It fails when k < 1,
+// the metric is invalid, or the metric is undefined on total.
+func NewLeaderboard(m Metric, total fpm.Tally, rows, k int, order RankOrder) (*Leaderboard, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k %d < 1", k)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	minCount := fpm.MinCount(db.NumRows(), minSup)
-	total := db.TotalTally()
-	rows := float64(db.NumRows())
 	globalRate := rateOf(total, m)
 	if math.IsNaN(globalRate) {
 		return nil, fmt.Errorf("core: metric %s undefined on the whole dataset", m.Name)
 	}
-	globalPost := posteriorOf(total, m)
+	return &Leaderboard{
+		m:          m,
+		k:          k,
+		order:      order,
+		globalRate: globalRate,
+		globalPost: posteriorOf(total, m),
+		rows:       float64(rows),
+	}, nil
+}
 
-	key := func(div float64) float64 {
-		switch order {
-		case ByAbsDivergence:
-			return math.Abs(div)
-		case ByNegDivergence:
-			return -div
-		default:
-			return div
-		}
+// Offer ranks one pattern and keeps it if it is among the k best seen
+// so far, reporting whether it was kept. Patterns on which the metric is
+// undefined are skipped. items may be borrowed: it is cloned only when
+// the pattern is kept.
+func (l *Leaderboard) Offer(items fpm.Itemset, t fpm.Tally) bool {
+	rate := rateOf(t, l.m)
+	if math.IsNaN(rate) {
+		return false
 	}
+	rk := Ranked{
+		Items:      items,
+		Tally:      t,
+		Support:    float64(t.Total()) / l.rows,
+		Rate:       rate,
+		Divergence: rate - l.globalRate,
+	}
+	full := len(l.heap) == l.k
+	// A full board rejects most candidates on the ranking key alone,
+	// before paying for the t-statistic.
+	if full && rankKeyOf(&rk, l.order) < rankKeyOf(&l.heap[0], l.order) {
+		return false
+	}
+	rk.T = welchOf(t, l.m, l.globalPost)
+	if full && !lessRankedBy(&rk, &l.heap[0], l.order) {
+		return false
+	}
+	rk.Items = items.Clone()
+	if full {
+		l.heap[0] = rk
+		l.down(l.heap, 0)
+		return true
+	}
+	l.heap = append(l.heap, rk)
+	for i := len(l.heap) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !lessRankedBy(&l.heap[p], &l.heap[i], l.order) {
+			break
+		}
+		l.heap[p], l.heap[i] = l.heap[i], l.heap[p]
+		i = p
+	}
+	return true
+}
 
-	h := &rankedHeap{key: key}
-	err := fpm.FPGrowth{}.MineVisit(db, minCount, func(p fpm.FrequentPattern) error {
-		rate := rateOf(p.Tally, m)
-		if math.IsNaN(rate) {
-			return nil
-		}
-		div := rate - globalRate
-		if h.Len() == k && key(div) <= key(h.items[0].Divergence) {
-			return nil
-		}
-		rk := Ranked{
-			Items:      p.Items.Clone(),
-			Tally:      p.Tally,
-			Support:    float64(p.Tally.Total()) / rows,
-			Rate:       rate,
-			Divergence: div,
-		}
-		if h.Len() == k {
-			h.items[0] = rk
-			heap.Fix(h, 0)
-		} else {
-			heap.Push(h, rk)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// Top returns the kept patterns best first, in a freshly allocated
+// slice that is safe to retain.
+func (l *Leaderboard) Top() []Ranked {
+	out := append([]Ranked(nil), l.heap...)
+	// Heapsort: move the weakest to the end until the heap is empty.
+	for n := len(out) - 1; n > 0; n-- {
+		out[0], out[n] = out[n], out[0]
+		l.down(out[:n], 0)
 	}
-	// Drain the heap into descending order and fill in significance.
-	out := make([]Ranked, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Ranked)
+	return out
+}
+
+// down restores the heap order below i: the weaker child rises until
+// every parent ranks below both of its children.
+func (l *Leaderboard) down(h []Ranked, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && lessRankedBy(&h[c], &h[c+1], l.order) {
+			c++
+		}
+		if !lessRankedBy(&h[i], &h[c], l.order) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	for i := range out {
-		out[i].T = welchOf(out[i].Tally, m, globalPost)
-	}
-	return out, nil
 }
 
 func rateOf(t fpm.Tally, m Metric) float64 {
@@ -101,32 +164,4 @@ func posteriorOf(t fpm.Tally, m Metric) stats.PosteriorRate {
 
 func welchOf(t fpm.Tally, m Metric, global stats.PosteriorRate) float64 {
 	return stats.WelchTPosterior(posteriorOf(t, m), global)
-}
-
-// rankedHeap is a min-heap on the ranking key, so the weakest of the
-// kept k patterns sits at the root.
-type rankedHeap struct {
-	items []Ranked
-	key   func(float64) float64
-}
-
-func (h *rankedHeap) Len() int { return len(h.items) }
-func (h *rankedHeap) Less(i, j int) bool {
-	ki, kj := h.key(h.items[i].Divergence), h.key(h.items[j].Divergence)
-	// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
-	if ki != kj {
-		return ki < kj
-	}
-	return h.items[i].Support < h.items[j].Support
-}
-func (h *rankedHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *rankedHeap) Push(x interface{}) {
-	h.items = append(h.items, x.(Ranked))
-}
-func (h *rankedHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
-	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
+// TestExploreTopKMatchesFullExploration: the streamed top-K must equal
+// the exhaustive Result.TopK exactly — itemsets, tallies, every float
+// and the order — for every RankOrder and k.
 func TestExploreTopKMatchesFullExploration(t *testing.T) {
 	db := randomClassifierDB(t, 71, 4, 3, 300)
 	full := explore(t, db, 0.02)
@@ -15,43 +19,13 @@ func TestExploreTopKMatchesFullExploration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("order=%v k=%d: %d patterns, want %d", order, k, len(got), len(want))
+			if len(want) != k {
+				t.Fatalf("order=%v k=%d: the full result ranks only %d patterns", order, k, len(want))
 			}
-			// The heap's tie-breaking may differ from the full ranking's,
-			// so compare the multiset of ranking keys rather than the
-			// exact itemsets.
-			for i := range got {
-				kg := rankKey(got[i].Divergence, order)
-				kw := rankKey(want[i].Divergence, order)
-				if !almost(kg, kw, 1e-12) {
-					t.Fatalf("order=%v k=%d rank %d: key %v, want %v",
-						order, k, i, kg, kw)
-				}
-				// Cross-check the streamed annotations against the full
-				// result.
-				rk, err := full.Describe(got[i].Items, ErrorRate)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !almost(rk.Divergence, got[i].Divergence, 1e-12) ||
-					!almost(rk.Support, got[i].Support, 1e-12) ||
-					!almost(rk.T, got[i].T, 1e-9) {
-					t.Fatalf("annotation mismatch on %v", got[i].Items)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("order=%v k=%d: streamed top-K differs\n got %+v\nwant %+v", order, k, got, want)
 			}
 		}
-	}
-}
-
-func rankKey(div float64, order RankOrder) float64 {
-	switch order {
-	case ByAbsDivergence:
-		return math.Abs(div)
-	case ByNegDivergence:
-		return -div
-	default:
-		return div
 	}
 }
 
@@ -78,5 +52,34 @@ func TestExploreTopKOrderedOutput(t *testing.T) {
 		if got[i].Divergence > got[i-1].Divergence+1e-12 {
 			t.Fatalf("output not sorted at %d", i)
 		}
+	}
+}
+
+// TestLeaderboardIgnoresArrivalOrder offers every frequent pattern in
+// several shuffled orders, in batches as a parallel miner would: the
+// kept top must equal Result.TopK every time.
+func TestLeaderboardIgnoresArrivalOrder(t *testing.T) {
+	db := randomClassifierDB(t, 73, 4, 3, 300)
+	full := explore(t, db, 0.02)
+	rng := rand.New(rand.NewSource(5))
+	for _, order := range []RankOrder{ByDivergence, ByAbsDivergence, ByNegDivergence} {
+		want := full.TopK(FPR, 10, order)
+		for trial := 0; trial < 5; trial++ {
+			b, err := NewLeaderboard(FPR, db.TotalTally(), db.NumRows(), 10, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := append([]Pattern(nil), full.Patterns...)
+			rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+			for _, p := range ps {
+				b.Offer(p.Items, p.Tally)
+			}
+			if got := b.Top(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("order=%v trial %d: leaderboard top differs\n got %+v\nwant %+v", order, trial, got, want)
+			}
+		}
+	}
+	if _, err := NewLeaderboard(FPR, db.TotalTally(), db.NumRows(), 0, ByDivergence); err == nil {
+		t.Error("k=0 accepted")
 	}
 }

@@ -36,16 +36,14 @@ func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Trac
 	miner := fpm.Parallel{Progress: tr.Progress}
 	if tr != nil {
 		// Workers finish subproblems concurrently: fold and publish as one
-		// step, counting folds, so sequence numbers follow fold order and a
-		// later snapshot never shows less of the mine.
+		// step, so sequence numbers follow fold order and a later snapshot
+		// never shows less of the mine.
 		acc := newPartialAccum(db, spec)
 		var mu sync.Mutex
-		folded := 0
 		miner.Emit = func(batch []fpm.FrequentPattern, _, total int) {
 			mu.Lock()
 			defer mu.Unlock()
-			folded++
-			tr.Partial(acc.add(batch, folded, total))
+			tr.Partial(acc.add(batch, total))
 		}
 	}
 	return core.ExploreContext(ctx, db, spec.Support, core.Options{Miner: miner})

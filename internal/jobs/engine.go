@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/registry"
 )
 
@@ -149,7 +150,7 @@ type Engine struct {
 	// tiers holds each job kind's outcome cache and counters; sessions
 	// are the explore kind's per-dataset navigation contexts.
 	tiers    map[Kind]*tier
-	sessions *lru[*session]
+	sessions *lru.Cache[string, *session]
 	expands  atomic.Int64
 	sigPerms atomic.Int64
 
@@ -171,7 +172,7 @@ type Engine struct {
 
 // tier is one job kind's outcome cache and counters.
 type tier struct {
-	cache   *lru[any]
+	cache   *lru.Cache[string, any]
 	queries atomic.Int64 // asks, cache hits included
 	runs    atomic.Int64 // asks that missed the cache and computed
 }
@@ -207,11 +208,11 @@ func New(cfg Config) (*Engine, error) {
 		queue:      queue,
 		jobs:       make(map[string]*Job),
 		tiers: map[Kind]*tier{
-			KindAnalysis:     {cache: newLRU[any](orDefault(cfg.ResultCacheEntries, 128))},
-			KindExplore:      {cache: newLRU[any](orDefault(cfg.ExploreCacheEntries, 64))},
-			KindSignificance: {cache: newLRU[any](orDefault(cfg.SignificanceCacheEntries, 64))},
+			KindAnalysis:     {cache: lru.NewCache[string, any](orDefault(cfg.ResultCacheEntries, 128))},
+			KindExplore:      {cache: lru.NewCache[string, any](orDefault(cfg.ExploreCacheEntries, 64))},
+			KindSignificance: {cache: lru.NewCache[string, any](orDefault(cfg.SignificanceCacheEntries, 64))},
 		},
-		sessions: newLRU[*session](orDefault(cfg.ExploreSessions, 16)),
+		sessions: lru.NewCache[string, *session](orDefault(cfg.ExploreSessions, 16)),
 	}
 	if cfg.Store != nil {
 		e.store.Store(cfg.Store)
@@ -538,7 +539,7 @@ func (e *Engine) do(ctx context.Context, w workload, tr *Tracker) (any, bool, er
 	t := e.tiers[w.kind()]
 	t.queries.Add(1)
 	key := w.CacheKey()
-	if v, ok := t.cache.get(key); ok {
+	if v, ok := t.cache.Get(key); ok {
 		if m, ok := v.(interface{ markHit() any }); ok {
 			v = m.markHit()
 		}
@@ -550,7 +551,7 @@ func (e *Engine) do(ctx context.Context, w workload, tr *Tracker) (any, bool, er
 		return nil, false, err
 	}
 	if keep {
-		t.cache.put(key, out)
+		t.cache.Put(key, out)
 	}
 	return out, false, nil
 }
@@ -641,7 +642,7 @@ func (e *Engine) Stats() Stats {
 		Recovered:    e.recovered.Load(),
 		Rehydrated:   e.rehydrated.Load(),
 		StoreErrors:  e.storeErrs.Load(),
-		ResultCache:  e.tiers[KindAnalysis].cache.stats(),
+		ResultCache:  e.tiers[KindAnalysis].cache.Stats(),
 		Explore:      e.ExploreStatsSnapshot(),
 		Significance: e.SignificanceStatsSnapshot(),
 	}

@@ -187,7 +187,7 @@ func normalizeMetric(name *string) (core.Metric, error) {
 // label-column pair, building the transaction database on first use.
 func (e *Engine) session(ds registry.Hash, truthCol, predCol string) (*session, error) {
 	key := string(ds) + "\x1f" + truthCol + "\x1f" + predCol
-	if s, ok := e.sessions.get(key); ok {
+	if s, ok := e.sessions.Get(key); ok {
 		return s, nil
 	}
 
@@ -200,7 +200,7 @@ func (e *Engine) session(ds registry.Hash, truthCol, predCol string) (*session, 
 		return nil, err
 	}
 	// A concurrent builder may have won; its session is the one kept.
-	return e.sessions.put(key, &session{db: db, nav: lattice.NewExplorer(db, 0)}), nil
+	return e.sessions.Put(key, &session{db: db, nav: lattice.NewExplorer(db, 0)}), nil
 }
 
 // Explore answers one anytime exploration synchronously, consulting the
@@ -246,7 +246,7 @@ func (s *ExploreSpec) run(ctx context.Context, e *Engine, tr *Tracker) (any, boo
 			tr.Partial(Snapshot{
 				Patterns: visited,
 				Metric:   m.Name,
-				Top:      partialPatterns(sess.db.Catalog, top),
+				Top:      estimatePartials(sess.db.Catalog, top),
 			})
 		}
 	}
@@ -276,7 +276,7 @@ func (s *ExploreSpec) run(ctx context.Context, e *Engine, tr *Tracker) (any, boo
 		tr.Partial(Snapshot{
 			Patterns: res.Visited,
 			Metric:   m.Name,
-			Top:      partialPatterns(sess.db.Catalog, res.Top),
+			Top:      estimatePartials(sess.db.Catalog, res.Top),
 			Reason:   out.Reason,
 		})
 	}
@@ -354,9 +354,9 @@ func (e *Engine) ExploreStatsSnapshot() ExploreStats {
 		Explores: t.queries.Load(),
 		Mines:    t.runs.Load(),
 		Expands:  e.expands.Load(),
-		Cache:    t.cache.stats(),
+		Cache:    t.cache.Stats(),
 	}
-	e.sessions.each(func(s *session) {
+	e.sessions.Each(func(s *session) {
 		ns := s.nav.Stats()
 		st.Sessions++
 		st.Navigation.Entries += ns.Entries
@@ -413,16 +413,11 @@ func explorePatterns(cat *fpm.Catalog, top []core.RankedEstimate) []ExplorePatte
 	return out
 }
 
-// partialPatterns converts ranked estimates to snapshot entries.
-func partialPatterns(cat *fpm.Catalog, top []core.RankedEstimate) []PartialPattern {
+// estimatePartials converts ranked estimates to snapshot entries.
+func estimatePartials(cat *fpm.Catalog, top []core.RankedEstimate) []PartialPattern {
 	out := make([]PartialPattern, len(top))
-	for i, e := range top {
-		out[i] = PartialPattern{
-			Items:      itemNameList(cat, e.Items),
-			Support:    e.Support,
-			Rate:       e.Rate,
-			Divergence: e.Divergence,
-		}
+	for i := range top {
+		out[i] = partialOf(cat, &top[i].Ranked)
 	}
 	return out
 }

@@ -125,6 +125,43 @@ func TestPartialSeqMonotoneUnderParallelMining(t *testing.T) {
 	}
 }
 
+// TestFinalPartialEqualsSummaryTop runs the analysis pipeline with
+// several mining workers: whatever order the workers finish in, the
+// last partial snapshot must be exactly the job's own summary top —
+// same itemsets, same order, same floats — and so the same on every run.
+func TestFinalPartialEqualsSummaryTop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // fpm.Parallel sizes its pool by GOMAXPROCS
+	data, err := dataset.ReadCSV(strings.NewReader(wideCSV(7, 300, 10)), dataset.CSVOptions{TrimSpace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{TruthCol: "truth", PredCol: "pred", Support: 0.02, Metrics: []string{"FPR"}, TopK: 10}
+	var first []PartialPattern
+	for run := 0; run < 20; run++ {
+		job := &Job{id: "final"}
+		res, err := RunAnalysis(context.Background(), data, spec, &Tracker{job: job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := job.Partial()
+		if final == nil || final.Done != final.Total || final.Total < 2 {
+			t.Fatalf("run %d: final partial = %+v, want a completed multi-subproblem mine", run, final)
+		}
+		want := summarize(res, spec).Metrics[0].Top
+		if len(want) != spec.TopK {
+			t.Fatalf("run %d: summary top holds %d patterns, want %d", run, len(want), spec.TopK)
+		}
+		if !reflect.DeepEqual(final.Top, want) {
+			t.Fatalf("run %d: final partial top differs from the summary top\n got %+v\nwant %+v", run, final.Top, want)
+		}
+		if run == 0 {
+			first = final.Top
+		} else if !reflect.DeepEqual(final.Top, first) {
+			t.Fatalf("run %d: final partial top differs from run 0", run)
+		}
+	}
+}
+
 // TestRecoverKeepsHighestSeqSnapshot: parallel workers can log
 // snapshots out of sequence order; recovery keeps the highest sequence
 // number, not the last line.

@@ -310,6 +310,6 @@ func (e *Engine) SignificanceStatsSnapshot() SignificanceStats {
 		Queries:      t.queries.Load(),
 		Runs:         t.runs.Load(),
 		Permutations: e.sigPerms.Load(),
-		Cache:        t.cache.stats(),
+		Cache:        t.cache.Stats(),
 	}
 }

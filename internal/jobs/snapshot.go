@@ -63,10 +63,6 @@ type ResultSummary struct {
 // on the whole dataset (all-⊥) are skipped — their divergence has no
 // reference point, and NaN cannot survive JSON encoding anyway.
 func summarize(res *core.Result, spec Spec) *ResultSummary {
-	topK := spec.TopK
-	if topK <= 0 {
-		topK = 10
-	}
 	sum := &ResultSummary{
 		Rows:     res.DB.NumRows(),
 		Attrs:    res.DB.Catalog.NumAttrs(),
@@ -83,18 +79,41 @@ func summarize(res *core.Result, spec Spec) *ResultSummary {
 		if math.IsNaN(rate) {
 			continue
 		}
-		ms := MetricSummary{Metric: m.Name, OverallRate: rate}
-		for _, rk := range res.TopK(m, topK, core.ByAbsDivergence) {
-			ms.Top = append(ms.Top, PartialPattern{
-				Items:      itemNameList(res.DB.Catalog, rk.Items),
-				Support:    rk.Support,
-				Rate:       rk.Rate,
-				Divergence: rk.Divergence,
-			})
-		}
-		sum.Metrics = append(sum.Metrics, ms)
+		sum.Metrics = append(sum.Metrics, MetricSummary{
+			Metric:      m.Name,
+			OverallRate: rate,
+			Top:         partialPatterns(res.DB.Catalog, res.TopK(m, summaryTopK(spec), core.ByAbsDivergence)),
+		})
 	}
 	return sum
+}
+
+// summaryTopK is the leaderboard length of summaries and partial
+// snapshots: the spec's top-k, 10 by default.
+func summaryTopK(spec Spec) int {
+	if spec.TopK <= 0 {
+		return 10
+	}
+	return spec.TopK
+}
+
+// partialPatterns renders ranked patterns, keeping their order.
+func partialPatterns(cat *fpm.Catalog, top []core.Ranked) []PartialPattern {
+	out := make([]PartialPattern, len(top))
+	for i := range top {
+		out[i] = partialOf(cat, &top[i])
+	}
+	return out
+}
+
+// partialOf renders one ranked pattern.
+func partialOf(cat *fpm.Catalog, rk *core.Ranked) PartialPattern {
+	return PartialPattern{
+		Items:      itemNameList(cat, rk.Items),
+		Support:    rk.Support,
+		Rate:       rk.Rate,
+		Divergence: rk.Divergence,
+	}
 }
 
 func itemNameList(cat *fpm.Catalog, is fpm.Itemset) []string {
@@ -168,47 +187,29 @@ func (t *Tracker) Partial(snap Snapshot) {
 
 // partialAccum folds per-subproblem pattern batches into a running
 // top-K-by-|divergence| leaderboard for one metric. It is the bridge
-// between fpm.Parallel.Emit and Tracker.Partial.
+// between fpm.Parallel.Emit and Tracker.Partial. The leaderboard ranks
+// by the same total order as the result summary, so once every batch
+// is folded its top equals summarize's, whatever order workers finished
+// in. It is not safe for concurrent use: RunAnalysis serializes add
+// with publication.
 type partialAccum struct {
-	metric  core.Metric
-	defined bool // false when the metric is all-⊥ on the whole dataset
-	global  float64
-	rows    float64
-	cat     *fpm.Catalog
-	topK    int
-
-	mu       sync.Mutex
+	metric   string
+	board    *core.Leaderboard // nil when the metric is unknown or all-⊥ on the whole dataset
+	cat      *fpm.Catalog
+	done     int
 	patterns int64
-	top      []scoredPattern // descending |divergence|, len <= topK
-}
-
-type scoredPattern struct {
-	items      fpm.Itemset
-	support    float64
-	rate       float64
-	divergence float64
 }
 
 // newPartialAccum prepares an accumulator for the spec's first metric
 // (the leaderboard metric for partial snapshots; the full result covers
 // all metrics at completion).
 func newPartialAccum(db *fpm.TxDB, spec Spec) *partialAccum {
-	topK := spec.TopK
-	if topK <= 0 {
-		topK = 10
-	}
-	acc := &partialAccum{
-		rows: float64(db.NumRows()),
-		cat:  db.Catalog,
-		topK: topK,
-	}
+	acc := &partialAccum{cat: db.Catalog}
 	if len(spec.Metrics) > 0 {
 		if m, err := core.MetricByName(spec.Metrics[0]); err == nil {
-			acc.metric = m
-			kp, kn := m.Counts(db.TotalTally())
-			if kp+kn > 0 {
-				acc.defined = true
-				acc.global = float64(kp) / float64(kp+kn)
+			acc.metric = m.Name
+			if b, err := core.NewLeaderboard(m, db.TotalTally(), db.NumRows(), summaryTopK(spec), core.ByAbsDivergence); err == nil {
+				acc.board = b
 			}
 		}
 	}
@@ -216,59 +217,21 @@ func newPartialAccum(db *fpm.TxDB, spec Spec) *partialAccum {
 }
 
 // add folds one emitted batch and returns the snapshot reflecting it.
-func (a *partialAccum) add(batch []fpm.FrequentPattern, done, total int) Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *partialAccum) add(batch []fpm.FrequentPattern, total int) Snapshot {
+	a.done++
 	a.patterns += int64(len(batch))
-	if a.defined {
+	var top []core.Ranked
+	if a.board != nil {
 		for _, p := range batch {
-			kp, kn := a.metric.Counts(p.Tally)
-			if kp+kn == 0 {
-				continue
-			}
-			rate := float64(kp) / float64(kp+kn)
-			a.insert(scoredPattern{
-				items:      p.Items,
-				support:    float64(p.Tally.Total()) / a.rows,
-				rate:       rate,
-				divergence: rate - a.global,
-			})
+			a.board.Offer(p.Items, p.Tally)
 		}
+		top = a.board.Top()
 	}
-	snap := Snapshot{
-		Done:     done,
+	return Snapshot{
+		Done:     a.done,
 		Total:    total,
 		Patterns: a.patterns,
-		Metric:   a.metric.Name,
-		Top:      make([]PartialPattern, len(a.top)),
-	}
-	for i, sp := range a.top {
-		snap.Top[i] = PartialPattern{
-			Items:      itemNameList(a.cat, sp.items),
-			Support:    sp.support,
-			Rate:       sp.rate,
-			Divergence: sp.divergence,
-		}
-	}
-	return snap
-}
-
-// insert places sp into the descending-|divergence| leaderboard,
-// dropping the weakest entry when over capacity. K is small (the
-// request's top-k), so insertion sort beats a heap here.
-func (a *partialAccum) insert(sp scoredPattern) {
-	abs := math.Abs(sp.divergence)
-	if len(a.top) == a.topK && abs <= math.Abs(a.top[len(a.top)-1].divergence) {
-		return
-	}
-	pos := len(a.top)
-	for pos > 0 && abs > math.Abs(a.top[pos-1].divergence) {
-		pos--
-	}
-	a.top = append(a.top, scoredPattern{})
-	copy(a.top[pos+1:], a.top[pos:])
-	a.top[pos] = sp
-	if len(a.top) > a.topK {
-		a.top = a.top[:a.topK]
+		Metric:   a.metric,
+		Top:      partialPatterns(a.cat, top),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -144,7 +145,7 @@ func TestPartialAccumLeaderboard(t *testing.T) {
 	db := sampleTxDB(t)
 	spec := Spec{Metrics: []string{"FPR"}, TopK: 3}
 	acc := newPartialAccum(db, spec)
-	if !acc.defined {
+	if acc.board == nil {
 		t.Fatal("FPR undefined on sample data")
 	}
 
@@ -159,8 +160,12 @@ func TestPartialAccumLeaderboard(t *testing.T) {
 	}
 	mid := len(all) / 2
 	var prevPatterns int64
+	var snap Snapshot
 	for i, batch := range [][]fpm.FrequentPattern{all[:mid], all[mid:]} {
-		snap := acc.add(batch, i+1, 2)
+		snap = acc.add(batch, 2)
+		if snap.Done != i+1 {
+			t.Errorf("batch %d: done = %d, want %d", i, snap.Done, i+1)
+		}
 		if snap.Patterns <= prevPatterns {
 			t.Errorf("batch %d: pattern count %d not increasing from %d", i, snap.Patterns, prevPatterns)
 		}
@@ -181,26 +186,13 @@ func TestPartialAccumLeaderboard(t *testing.T) {
 		t.Errorf("final pattern count %d, want %d", prevPatterns, len(all))
 	}
 
-	// After all batches the leaderboard head must agree with the full
-	// result's top-1 by |divergence|.
+	// After all batches the leaderboard must equal the summary's top.
 	res, err := core.Explore(db, 0.0, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.MetricByName("FPR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.TopK(m, 1, core.ByAbsDivergence)
-	gotTop := acc.top
-	if len(want) == 0 || len(gotTop) == 0 {
-		t.Fatal("no top pattern on either side")
-	}
-	// lint:ignore floatcmp both sides compute the same rate difference
-	// from the same integer tallies, so exact equality is expected.
-	if math.Abs(gotTop[0].divergence) != math.Abs(want[0].Divergence) {
-		t.Errorf("leaderboard head |divergence| = %v, full result = %v",
-			gotTop[0].divergence, want[0].Divergence)
+	if want := summarize(res, spec).Metrics[0].Top; !reflect.DeepEqual(snap.Top, want) {
+		t.Errorf("final leaderboard = %+v\nsummary top      = %+v", snap.Top, want)
 	}
 }
 

@@ -44,9 +44,9 @@ func (r *Registry) residentHashes() []string {
 	var out []string
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		for h := range sh.entries {
+		sh.entries.Each(func(h Hash, _ *shardEntry) {
 			out = append(out, string(h))
-		}
+		})
 		sh.mu.Unlock()
 	}
 	sort.Strings(out)

@@ -128,11 +128,10 @@ type Registry struct {
 	spill     *Spill
 	spillOpts dataset.CSVOptions
 
-	// locks serializes the spill tier's multi-step transitions per
-	// content address (see keylock.go): spill-then-evict, disk
-	// promotion, and Remove each hold the hash's lock end to end, so no
-	// two of them can interleave on one dataset. Unused without a spill
-	// tier.
+	// locks serializes the multi-step transitions per content address
+	// (see keylock.go): the eviction cycle, disk promotion, and Remove
+	// (with a spill tier) each hold the hash's lock end to end, so no two
+	// of them can interleave on one dataset.
 	locks keyLocks
 }
 
@@ -151,7 +150,7 @@ func NewSharded(budgetBytes int64, shards int) *Registry {
 	}
 	r := &Registry{budget: budgetBytes, shards: make([]*shard, shards)}
 	for i := range r.shards {
-		r.shards[i] = newShard()
+		r.shards[i] = &shard{}
 	}
 	return r
 }
@@ -358,40 +357,30 @@ func (r *Registry) enforceBudget(justAdded Hash) {
 // spare is the only entry left, or a spill tier is attached and the
 // victim cannot be spilled — which ends budget enforcement.
 //
-// With a spill tier the protocol is spill-then-evict: peek the victim,
+// There is one cycle, with or without a spill tier: peek the victim,
 // take its key lock, re-confirm it is still the untouched LRU tail,
-// write its spill file outside every shard lock, then evict only if its
-// recency stamp is unchanged (compare-and-evict). Eviction never
-// precedes a durable copy, so a crash or write failure at any point
-// leaves the dataset resident in exactly one tier. The key lock held
-// across the whole cycle excludes Remove, disk promotion, and every
-// other evictor of the same hash: two concurrent over-budget inserts
-// can no longer both peek one victim and have the loser — finding the
-// entry gone — delete the spill file the winner just wrote. A permanent
-// spill failure aborts enforcement entirely: the registry stays over
-// budget and keeps serving from memory — counted, not hidden
-// (write_errors in /statsz) — because dropping the only copy to honor a
-// byte budget would turn a disk error into data loss.
+// write its spill file (only with a spill tier) outside every shard
+// lock, then evict only if its recency stamp is unchanged
+// (compare-and-evict). Eviction never precedes a durable copy, so a
+// crash or write failure at any point leaves the dataset resident in
+// exactly one tier. The key lock held across the whole cycle excludes
+// Remove, disk promotion, and every other evictor of the same hash: two
+// concurrent over-budget inserts can no longer both peek one victim and
+// have the loser — finding the entry gone — delete the spill file the
+// winner just wrote. A permanent spill failure aborts enforcement
+// entirely: the registry stays over budget and keeps serving from
+// memory — counted, not hidden (write_errors in /statsz) — because
+// dropping the only copy to honor a byte budget would turn a disk error
+// into data loss.
+//
+// A peek that a concurrent touch or removal outdates is simply rescanned.
+// Progress is guaranteed: either some pass evicts, or the store drains
+// to a single entry and the scan finds nothing evictable.
 func (r *Registry) evictGlobalLRU(spare Hash) bool {
 	for {
-		victim, entries := r.oldestShard(spare)
+		victim, e, stamp, entries := r.oldestShard(spare)
 		if victim == nil || entries <= 1 {
 			return false
-		}
-		if r.spill == nil {
-			freed, evicted := victim.evictOldest(spare)
-			if evicted {
-				r.size.Add(-freed)
-				return true
-			}
-			// The scanned tail moved (a concurrent touch or removal): rescan.
-			// Progress is guaranteed — either some pass evicts, or the store
-			// drains to a single entry and oldestShard returns nil.
-			continue
-		}
-		e, stamp, ok := victim.peekOldest(spare)
-		if !ok {
-			continue // tail moved since the scan: rescan
 		}
 		r.locks.lock(e.Hash)
 		if s, ok := victim.stampOf(e.Hash); !ok || s != stamp {
@@ -400,8 +389,9 @@ func (r *Registry) evictGlobalLRU(spare Hash) bool {
 			r.locks.unlock(e.Hash)
 			continue
 		}
-		// Entries registered before AttachSpill carry no raw bytes and
-		// evict without spilling — they predate the disk tier.
+		// Only entries registered with a spill tier attached carry raw
+		// bytes; the rest evict without spilling — there is no disk tier,
+		// or they predate it.
 		if e.raw != nil {
 			if err := r.spill.store(e.Hash, e.raw); err != nil {
 				r.locks.unlock(e.Hash)
@@ -432,22 +422,19 @@ func (r *Registry) evictGlobalLRU(spare Hash) bool {
 	}
 }
 
-// oldestShard scans all stripes for the one whose LRU tail carries the
-// globally oldest recency stamp, ignoring spare, and counts resident
-// entries along the way. Each shard is locked only for its own scan.
-func (r *Registry) oldestShard(spare Hash) (*shard, int) {
-	var victim *shard
-	oldest := int64(0)
-	entries := 0
+// oldestShard scans all stripes for the one whose least-recently-used
+// entry (other than spare) carries the globally oldest recency stamp,
+// returning that shard, entry and stamp, and counts resident entries
+// along the way. Each shard is locked only for its own scan.
+func (r *Registry) oldestShard(spare Hash) (victim *shard, e *Entry, stamp int64, entries int) {
 	for _, sh := range r.shards {
-		n, stamp, ok := sh.oldest(spare)
+		se, st, n := sh.oldest(spare)
 		entries += n
-		if ok && (victim == nil || stamp < oldest) {
-			victim = sh
-			oldest = stamp
+		if se != nil && (victim == nil || st < stamp) {
+			victim, e, stamp = sh, se, st
 		}
 	}
-	return victim, entries
+	return victim, e, stamp, entries
 }
 
 // Stats returns a snapshot of the counters, aggregated and per shard.

@@ -1,18 +1,18 @@
 package registry
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/lru"
 )
 
-// shard is one lock stripe of the registry: its own mutex, LRU list,
-// hash index and counters. Shards know nothing of the global budget —
+// shard is one lock stripe of the registry: its own mutex, recency
+// list and counters. Shards know nothing of the global budget —
 // Registry.enforceBudget drives cross-shard eviction through oldest and
-// evictOldest, locking one shard at a time.
+// evictIfUnchanged, locking one shard at a time.
 type shard struct {
 	mu        sync.Mutex
-	ll        *list.List // front = most recently used within this shard
-	entries   map[Hash]*list.Element
+	entries   lru.List[Hash, *shardEntry] // recency within this shard
 	size      int64
 	hits      int64
 	misses    int64
@@ -29,10 +29,6 @@ type shardEntry struct {
 	stamp int64
 }
 
-func newShard() *shard {
-	return &shard{ll: list.New(), entries: make(map[Hash]*list.Element)}
-}
-
 // get looks up h, refreshing its recency with stamp on a hit. A miss
 // moves no counter — Registry.Get and Register decide whether a miss is
 // chargeable (a failed parse during Register is, a pre-parse probe is
@@ -40,13 +36,11 @@ func newShard() *shard {
 func (s *shard) get(h Hash, stamp int64) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[h]
+	se, ok := s.entries.Get(h)
 	if !ok {
 		return nil, false
 	}
 	s.hits++
-	s.ll.MoveToFront(el)
-	se := el.Value.(*shardEntry)
 	se.stamp = stamp
 	return se.e, true
 }
@@ -65,15 +59,13 @@ func (s *shard) miss() {
 func (s *shard) put(e *Entry, stamp int64) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[e.Hash]; ok {
+	se, existed := s.entries.Put(e.Hash, &shardEntry{e: e, stamp: stamp})
+	if existed {
 		s.hits++
-		s.ll.MoveToFront(el)
-		se := el.Value.(*shardEntry)
 		se.stamp = stamp
 		return se.e, true
 	}
 	s.misses++
-	s.entries[e.Hash] = s.ll.PushFront(&shardEntry{e: e, stamp: stamp})
 	s.size += e.Bytes
 	return e, false
 }
@@ -82,33 +74,27 @@ func (s *shard) put(e *Entry, stamp int64) (*Entry, bool) {
 func (s *shard) remove(h Hash) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[h]
+	se, ok := s.entries.Remove(h)
 	if !ok {
 		return 0, false
 	}
-	se := el.Value.(*shardEntry)
-	s.ll.Remove(el)
-	delete(s.entries, h)
 	s.size -= se.e.Bytes
 	return se.e.Bytes, true
 }
 
-// oldest reports the shard's entry count and the recency stamp of its
-// LRU tail. A tail equal to spare is not a candidate (ok == false): the
-// entry whose insert triggered enforcement is never the victim.
-func (s *shard) oldest(spare Hash) (entries int, stamp int64, ok bool) {
+// oldest peeks at the shard's least-recently-used entry other than
+// spare (the entry whose insert triggered enforcement is never the
+// victim) and its recency stamp, and reports the shard's entry count.
+// It evicts nothing: the eviction cycle confirms the peek with
+// evictIfUnchanged.
+func (s *shard) oldest(spare Hash) (e *Entry, stamp int64, entries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries = s.ll.Len()
-	el := s.ll.Back()
-	if el == nil {
-		return entries, 0, false
+	entries = s.entries.Len()
+	if _, se, ok := s.entries.Oldest(spare); ok {
+		return se.e, se.stamp, entries
 	}
-	se := el.Value.(*shardEntry)
-	if se.e.Hash == spare {
-		return entries, 0, false
-	}
-	return entries, se.stamp, true
+	return nil, 0, entries
 }
 
 // evictStatus classifies the outcome of evictIfUnchanged.
@@ -120,26 +106,6 @@ const (
 	evictGone                       // the entry is no longer resident
 )
 
-// peekOldest returns the shard's LRU-tail entry and its recency stamp
-// without evicting, skipping spare the same way evictOldest does. The
-// spill-then-evict protocol peeks, writes the spill file outside all
-// shard locks, then confirms with evictIfUnchanged.
-func (s *shard) peekOldest(spare Hash) (*Entry, int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el := s.ll.Back()
-	if el == nil {
-		return nil, 0, false
-	}
-	if el.Value.(*shardEntry).e.Hash == spare {
-		if el = el.Prev(); el == nil {
-			return nil, 0, false
-		}
-	}
-	se := el.Value.(*shardEntry)
-	return se.e, se.stamp, true
-}
-
 // stampOf returns h's current recency stamp without refreshing it. The
 // eviction cycle calls it after acquiring the victim's key lock to
 // confirm the peeked entry is still resident and untouched before
@@ -148,11 +114,11 @@ func (s *shard) peekOldest(spare Hash) (*Entry, int64, bool) {
 func (s *shard) stampOf(h Hash) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[h]
+	se, ok := s.entries.Peek(h)
 	if !ok {
 		return 0, false
 	}
-	return el.Value.(*shardEntry).stamp, true
+	return se.stamp, true
 }
 
 // evictIfUnchanged evicts h only if its recency stamp still equals the
@@ -163,43 +129,17 @@ func (s *shard) stampOf(h Hash) (int64, bool) {
 func (s *shard) evictIfUnchanged(h Hash, stamp int64) (int64, evictStatus) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[h]
+	se, ok := s.entries.Peek(h)
 	if !ok {
 		return 0, evictGone
 	}
-	se := el.Value.(*shardEntry)
 	if se.stamp != stamp {
 		return 0, evictTouched
 	}
-	s.ll.Remove(el)
-	delete(s.entries, h)
+	s.entries.Remove(h)
 	s.size -= se.e.Bytes
 	s.evictions++
 	return se.e.Bytes, evictOK
-}
-
-// evictOldest removes the shard's LRU tail unless it is spare, returning
-// the bytes freed. When the tail is spare but older entries sit above it
-// (possible only under concurrent touches), the entry just ahead of the
-// tail is evicted instead so enforcement still progresses.
-func (s *shard) evictOldest(spare Hash) (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el := s.ll.Back()
-	if el == nil {
-		return 0, false
-	}
-	if el.Value.(*shardEntry).e.Hash == spare {
-		if el = el.Prev(); el == nil {
-			return 0, false
-		}
-	}
-	se := el.Value.(*shardEntry)
-	s.ll.Remove(el)
-	delete(s.entries, se.e.Hash)
-	s.size -= se.e.Bytes
-	s.evictions++
-	return se.e.Bytes, true
 }
 
 // stats snapshots the shard counters.
@@ -207,7 +147,7 @@ func (s *shard) stats() ShardStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return ShardStats{
-		Entries:   s.ll.Len(),
+		Entries:   s.entries.Len(),
 		Bytes:     s.size,
 		Hits:      s.hits,
 		Misses:    s.misses,

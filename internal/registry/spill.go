@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/lru"
 )
 
 // SpillExt is the filename extension of spilled datasets. A spill file
@@ -69,12 +69,6 @@ type SpillStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// spillFile is one resident disk entry in the spill index.
-type spillFile struct {
-	hash Hash
-	size int64
-}
-
 // Spill is the disk tier beneath the in-memory registry: a directory of
 // canonicalized CSV files named by content address, with its own byte
 // budget and LRU eviction. Writes are crash-safe (temp file + fsync +
@@ -89,8 +83,7 @@ type Spill struct {
 	budget int64 // <= 0 means unlimited
 
 	mu    sync.Mutex
-	ll    *list.List // front = most recently written/loaded
-	files map[Hash]*list.Element
+	files lru.List[Hash, int64] // file sizes, by write/load recency
 	bytes int64
 
 	writes      atomic.Int64
@@ -122,8 +115,6 @@ func OpenSpill(dir string, budgetBytes int64, fsys faultfs.FS) (*Spill, error) {
 		dir:    dir,
 		fs:     fsys,
 		budget: budgetBytes,
-		ll:     list.New(),
-		files:  make(map[Hash]*list.Element),
 	}
 	if err := s.scan(); err != nil {
 		return nil, err
@@ -165,8 +156,8 @@ func (s *Spill) scan() error {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mod.Before(found[j].mod) })
 	for _, f := range found {
-		// Oldest first: each PushFront leaves the newest at the front.
-		s.files[f.h] = s.ll.PushFront(&spillFile{hash: f.h, size: f.size})
+		// Oldest first: each Put leaves the newest most recently used.
+		s.files.Put(f.h, f.size)
 		s.bytes += f.size
 	}
 	return nil
@@ -196,15 +187,12 @@ func (s *Spill) store(h Hash, raw []byte) error {
 	s.writes.Add(1)
 
 	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		// Re-spill of a resident hash: same content, refresh recency.
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return nil
+	// A re-spill of a resident hash (same content) only refreshes its
+	// recency.
+	if _, existed := s.files.Put(h, int64(len(raw))); !existed {
+		s.bytes += int64(len(raw))
+		s.enforceBudgetLocked(h)
 	}
-	s.files[h] = s.ll.PushFront(&spillFile{hash: h, size: int64(len(raw))})
-	s.bytes += int64(len(raw))
-	s.enforceBudgetLocked(h)
 	s.mu.Unlock()
 	return nil
 }
@@ -257,9 +245,7 @@ func (s *Spill) load(h Hash) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, h)
 	}
 	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		s.ll.MoveToFront(el)
-	}
+	s.files.Get(h)
 	s.mu.Unlock()
 	s.loads.Add(1)
 	return raw, nil
@@ -277,31 +263,23 @@ func (s *Spill) quarantine(h Hash) {
 	s.dropIndex(h)
 }
 
-// dropIndex forgets h in the in-memory index (the file itself has
-// already been moved or removed).
-func (s *Spill) dropIndex(h Hash) {
+// dropIndex forgets h in the in-memory index, reporting whether it was
+// indexed. The file itself is the caller's to move or remove.
+func (s *Spill) dropIndex(h Hash) bool {
 	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		s.bytes -= el.Value.(*spillFile).size
-		s.ll.Remove(el)
-		delete(s.files, h)
+	defer s.mu.Unlock()
+	size, ok := s.files.Remove(h)
+	if ok {
+		s.bytes -= size
 	}
-	s.mu.Unlock()
+	return ok
 }
 
 // remove deletes the spill file and any quarantined copy of h,
 // reporting whether either existed — the disk half of a total
 // DELETE /datasets/{hash}.
 func (s *Spill) remove(h Hash) bool {
-	existed := false
-	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		s.bytes -= el.Value.(*spillFile).size
-		s.ll.Remove(el)
-		delete(s.files, h)
-		existed = true
-	}
-	s.mu.Unlock()
+	existed := s.dropIndex(h)
 	if err := s.fs.Remove(s.path(h)); err == nil {
 		existed = true
 	}
@@ -319,19 +297,14 @@ func (s *Spill) enforceBudgetLocked(justAdded Hash) {
 	if s.budget <= 0 {
 		return
 	}
-	for s.bytes > s.budget && s.ll.Len() > 1 {
-		el := s.ll.Back()
-		sf := el.Value.(*spillFile)
-		if sf.hash == justAdded {
-			if el = el.Prev(); el == nil {
-				return
-			}
-			sf = el.Value.(*spillFile)
+	for s.bytes > s.budget {
+		h, size, ok := s.files.Oldest(justAdded)
+		if !ok {
+			return
 		}
-		s.ll.Remove(el)
-		delete(s.files, sf.hash)
-		s.bytes -= sf.size
-		_ = s.fs.Remove(s.path(sf.hash)) // best-effort: scan reconciles at next open
+		s.files.Remove(h)
+		s.bytes -= size
+		_ = s.fs.Remove(s.path(h)) // best-effort: scan reconciles at next open
 		s.evictions.Add(1)
 	}
 }
@@ -339,7 +312,7 @@ func (s *Spill) enforceBudgetLocked(justAdded Hash) {
 // Stats snapshots the disk-tier counters.
 func (s *Spill) Stats() SpillStats {
 	s.mu.Lock()
-	files, bytes := s.ll.Len(), s.bytes
+	files, bytes := s.files.Len(), s.bytes
 	s.mu.Unlock()
 	return SpillStats{
 		Files:       files,

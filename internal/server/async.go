@@ -91,6 +91,23 @@ func jobToJSON(st jobs.Status) jobJSON {
 	return j
 }
 
+// writeAccepted answers a submission with 202 and the job as it was
+// accepted: queued, not yet started. Every submitting handler mints the
+// job's ID itself, so the job is new; a worker may already have started
+// or even finished it by now, but the acknowledgement reports acceptance
+// the same way every time, and clients follow the job through its
+// events_url or GET /jobs/{id}.
+func writeAccepted(w http.ResponseWriter, job *jobs.Job) {
+	st := job.Snapshot()
+	writeJSON(w, http.StatusAccepted, jobToJSON(jobs.Status{
+		ID:      st.ID,
+		Kind:    st.Kind,
+		Spec:    st.Spec,
+		State:   jobs.StateQueued,
+		Created: st.Created,
+	}))
+}
+
 // handleDatasetRegister implements POST /datasets: content-address the
 // uploaded CSV and parse it once.
 func (s *Server) handleDatasetRegister(w http.ResponseWriter, r *http.Request) {
@@ -215,7 +232,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if job, ok := s.engine.Get(ack.ID); ok && ack.Node == n.Self() {
-			writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
+			writeAccepted(w, job)
 			return
 		}
 		// The job landed on a peer; the ack names the owning node.
@@ -229,7 +246,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
+	writeAccepted(w, job)
 }
 
 // handleJobStatus implements GET /jobs/{id}.

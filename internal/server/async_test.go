@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -112,8 +114,8 @@ func TestJobEndToEndCacheHit(t *testing.T) {
 		t.Fatalf("POST /jobs = %d: %s", w.Code, w.Body.String())
 	}
 	j1 := decode[jobJSON](t, w)
-	if j1.State != "queued" && j1.State != "running" {
-		t.Errorf("initial state = %s", j1.State)
+	if j1.State != "queued" {
+		t.Errorf("initial state = %s, want queued", j1.State)
 	}
 	st1 := pollJob(t, h, j1.ID)
 	if st1.State != "done" || st1.CacheHit {
@@ -377,5 +379,56 @@ func TestStatszShape(t *testing.T) {
 	stats := decode[statszJSON](t, w)
 	if stats.Jobs.Workers < 1 || stats.Jobs.QueueCap < 1 {
 		t.Errorf("stats missing pool dimensions: %+v", stats.Jobs)
+	}
+
+	// The cache sections keep their JSON keys: dashboards and the
+	// benchmark harness read them by name.
+	var raw map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	cacheKeys := []string{"capacity", "entries", "evictions", "hits", "misses"}
+	for _, c := range []struct {
+		path []string
+		want []string
+	}{
+		{[]string{"jobs", "result_cache"}, cacheKeys},
+		{[]string{"jobs", "explore", "cache"}, cacheKeys},
+		{[]string{"jobs", "significance", "cache"}, cacheKeys},
+		{[]string{"jobs", "explore", "navigation"},
+			[]string{"capacity", "entries", "evictions", "expands", "hits", "misses", "rows_scanned"}},
+		{[]string{"datasets"},
+			[]string{"budget_bytes", "bytes", "entries", "evictions", "hits", "misses", "shards"}},
+	} {
+		var node any = raw
+		for _, k := range c.path {
+			m, _ := node.(map[string]any)
+			node = m[k]
+		}
+		obj, ok := node.(map[string]any)
+		if !ok {
+			t.Errorf("statsz %s: not an object: %v", strings.Join(c.path, "."), node)
+			continue
+		}
+		var got []string
+		for k := range obj {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("statsz %s keys = %v, want %v", strings.Join(c.path, "."), got, c.want)
+		}
+	}
+	shards, _ := raw["datasets"].(map[string]any)["shards"].([]any)
+	if len(shards) == 0 {
+		t.Fatal("statsz datasets.shards is empty")
+	}
+	var got []string
+	for k := range shards[0].(map[string]any) {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if want := []string{"bytes", "entries", "evictions", "hits", "misses"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("statsz datasets.shards[0] keys = %v, want %v", got, want)
 	}
 }

@@ -199,7 +199,7 @@ func (s *Server) submitAsync(w http.ResponseWriter, tenant string, ds registry.H
 		writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
+	writeAccepted(w, job)
 }
 
 // admittedJob records one admission grant for release at terminal time.

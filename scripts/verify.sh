@@ -13,21 +13,34 @@
 #   4. go test -race ./...         all tests under the race detector;
 #                                  the Parallel-vs-FPGrowth stress test
 #                                  is this tier's primary target
-#   5. registry-race tier          the concurrent service subsystems
-#                                  (registry, jobs, server) twice more
-#                                  under -race: the sharded-registry
-#                                  property tests, rehydration
-#                                  single-flight and submit/cancel/
-#                                  shutdown interleavings are
-#                                  timing-sensitive, so extra runs buy
-#                                  extra schedules
+#   5. race tier                   the concurrent subsystems twice
+#                                  more under -race, since extra runs
+#                                  buy extra schedules: every test of
+#                                  registry (sharded-registry property
+#                                  tests), jobs (rehydration
+#                                  single-flight, submit/cancel/shutdown
+#                                  interleavings), server (the HTTP
+#                                  surface of every tier), monitor
+#                                  (ingest vs. window advance vs.
+#                                  delete), lattice (navigation cache
+#                                  churn), permtest (atomic permutation
+#                                  claims, deterministic buffer merges),
+#                                  cluster (ring, gossip, hedged
+#                                  forwards, seeded chaos) and admission
+#                                  (quotas, rate limits, fair queueing);
+#                                  plus the anytime, top-K and
+#                                  significance tests of fpm and core,
+#                                  where the byte-identity and top-K
+#                                  differentials must hold under the
+#                                  race detector too
 #   5b. telemetry-ordering tier    partial snapshots and progress
 #                                  published from parallel mining and
 #                                  permutation workers only move
-#                                  forward, live and after recovery:
-#                                  the ordering tests 200 times, and
-#                                  the permutation progress test 20
-#                                  times under -race
+#                                  forward, live and after recovery,
+#                                  and an analysis's final snapshot is
+#                                  its summary top: the ordering tests
+#                                  200 times, and the permutation
+#                                  progress test 20 times under -race
 #   6. fault-injection tier        the disk-facing subsystems (faultfs
 #                                  injector, registry spill tier, WAL
 #                                  chaos tests, spill e2e) once more
@@ -37,37 +50,6 @@
 #                                  positive integer to explore other
 #                                  deterministic schedules — the seed
 #                                  is echoed so any failure reproduces)
-#   6b. monitor-race tier          the streaming monitor subsystem twice
-#                                  more under -race: concurrent ingest
-#                                  vs. window advance vs. delete, plus
-#                                  the drift-to-SSE e2e, are the
-#                                  timing-sensitive paths
-#   6c. anytime-race tier          the anytime exploration tier twice
-#                                  more under -race: budgeted mining
-#                                  (deadline cuts vs. warm-state reuse),
-#                                  lattice-navigation cache churn and
-#                                  the /explore endpoint are the
-#                                  timing-sensitive paths, and the
-#                                  byte-identity differential must hold
-#                                  under the race detector too
-#   6d. significance-race tier     the permutation-testing engine twice
-#                                  more under -race: the bounded worker
-#                                  pool's atomic permutation claims and
-#                                  buffer merges must stay deterministic
-#                                  (same seed, any worker count) under
-#                                  the race detector, along with the
-#                                  /significance endpoint and job route
-#   6e. cluster-race tier          the fault-tolerant cluster tier twice
-#                                  more under -race: the placement ring,
-#                                  phi-accrual gossip, hedged forwards
-#                                  and replica streaming, plus the
-#                                  seeded kill/partition/slow-walk chaos
-#                                  tests over full servers (no job lost,
-#                                  none double-completed on live nodes)
-#   6f. admission tier             per-tenant quotas, token-bucket rate
-#                                  limits (429 + Retry-After) and the
-#                                  weighted-fair-queue isolation test
-#                                  under -race
 #   7. fuzz smoke                  each native fuzz target for 10s of
 #                                  fresh input generation on top of the
 #                                  checked-in seed corpus (one target
@@ -105,39 +87,19 @@ go run ./cmd/divlint ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> registry-race tier (sharded registry + durable jobs, -count=2)"
-go test -race -count=2 ./internal/registry/... ./internal/jobs/... ./internal/server/...
+echo "==> race tier (concurrent subsystems + anytime/top-K/significance differentials, -count=2)"
+go test -race -count=2 ./internal/{registry,jobs,server,monitor,lattice,permtest,cluster,admission}/...
+go test -race -count=2 -run 'Anytime|SampleRows|ExploreTopK|Permutation|WY|PermFDR|CoverIndex|MaxEnt|Significance' \
+    ./internal/fpm ./internal/core
 
-echo "==> telemetry-ordering tier (snapshot seq + progress monotone under parallel workers)"
-go test -count=200 -run 'TestRecoverReattachesPartialSnapshot|TestPartialSeqMonotoneUnderParallelMining' ./internal/jobs
+echo "==> telemetry-ordering tier (snapshot seq + progress monotone under parallel workers, final snapshot = summary top)"
+go test -count=200 -run 'TestRecoverReattachesPartialSnapshot|TestPartialSeqMonotoneUnderParallelMining|TestFinalPartialEqualsSummaryTop' ./internal/jobs
 go test -race -count=20 -run TestProgressReachesTotal ./internal/permtest
 
 echo "==> fault-injection tier (seed ${DIVEX_FAULT_SEED:-1})"
 DIVEX_FAULT_SEED="${DIVEX_FAULT_SEED:-1}" \
     go test -race -run 'Chaos|Spill|Fault|Injector|Retry|Transient|OSPassthrough|RemoveIsTotal|DeleteDatasetPurges' \
     ./internal/faultfs ./internal/registry ./internal/jobs ./internal/server
-
-echo "==> monitor-race tier (streaming ingest/advance/delete, -count=2)"
-go test -race -count=2 ./internal/monitor/...
-go test -race -run 'Monitor|Statsz' ./internal/server
-
-echo "==> anytime-race tier (budgeted mining + lattice navigation + /explore, -count=2)"
-go test -race -count=2 -run 'Anytime|SampleRows' ./internal/fpm ./internal/core
-go test -race -count=2 ./internal/lattice/...
-go test -race -count=2 -run 'Explore|ParseExploreBody' ./internal/jobs ./internal/server
-
-echo "==> significance-race tier (permutation engine + WY control + /significance, -count=2)"
-go test -race -count=2 ./internal/permtest/...
-go test -race -count=2 -run 'Permutation|WY|PermFDR|CoverIndex|MaxEnt|Significance' \
-    ./internal/fpm ./internal/core ./internal/jobs ./internal/server
-
-echo "==> cluster-race tier (ring + gossip + chaos failover, -count=2)"
-go test -race -count=2 ./internal/cluster/...
-go test -race -count=2 -run 'Cluster' ./internal/server
-
-echo "==> admission tier (tenant quotas + weighted fair queueing, -count=2)"
-go test -race -count=2 ./internal/admission/...
-go test -race -run 'Admission|FairQueue' ./internal/server
 
 echo "==> fuzz smoke (10s per target)"
 go test -run=NONE -fuzz='^FuzzParseCSV$' -fuzztime=10s ./internal/dataset
